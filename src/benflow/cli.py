@@ -13,15 +13,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .config import RunConfig, Tolerances, VerdictThresholds, load_config
+from .config import RunConfig, load_config
 from .dataio import load_matrix, parse_exact_spectrum, write_digit_csv, write_ecdf_csv
 from .demos import EXAMPLE_IDS, run_example
 from .errors import BenflowError, SignalOverflowError, UsageError
@@ -35,8 +32,8 @@ from .flowsignal import (
     load_signal_csv,
 )
 from .genericity import EnsembleSpec, resonance_census
-from .matrixcore import is_hyperbolic, spectrum
-from .resonance import is_b_nonresonant, is_exp_b_nonresonant, is_exp_nonresonant_algebraic
+from .matrixcore import SpectrumInfo, is_hyperbolic, spectrum
+from .resonance import is_exp_b_nonresonant, is_exp_nonresonant_algebraic
 from .significand import digit_law_pmf
 from .udmod1 import SamplingGrid
 
@@ -120,6 +117,26 @@ def _complex_dict(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
+def _check_annotation(values: list[complex], info: SpectrumInfo, tol: float) -> None:
+    """Require the annotated eigenvalues to be the computed spectrum.
+
+    Each annotated value is matched to the nearest computed eigenvalue
+    within tol that still has multiplicity left; a count or value
+    mismatch is a usage error, since the exact verdict would otherwise
+    describe some other matrix.
+    """
+    left = {i: p.m for i, p in enumerate(info.points)}
+    if len(values) != sum(left.values()):
+        raise UsageError(
+            f"exact_spectrum lists {len(values)} eigenvalues, the matrix has {sum(left.values())}"
+        )
+    for z in values:
+        near = [i for i, m in left.items() if m and abs(info.points[i].z - z) <= tol]
+        if not near:
+            raise UsageError(f"annotated eigenvalue {z:.12g} is not an eigenvalue of the matrix (tolerance {tol:.3g})")
+        left[min(near, key=lambda i: abs(info.points[i].z - z))] -= 1
+
+
 def _cmd_analyze(args, cfg: RunConfig) -> int:
     matrix, annotation = load_matrix(args.matrix)
     info = spectrum(matrix, cfg.tolerances.eigen_cluster)
@@ -140,6 +157,9 @@ def _cmd_analyze(args, cfg: RunConfig) -> int:
     }
     if annotation is not None:
         exact_set = parse_exact_spectrum(annotation)
+        frobenius = float((matrix * matrix).sum()) ** 0.5
+        tol = cfg.tolerances.eigen_cluster * max(frobenius, 1.0)
+        _check_annotation([z.value() for z in exact_set], info, tol)
         verdict = is_exp_b_nonresonant(exact_set, cfg.base)
         report["exact"] = {
             "base": cfg.base,

@@ -34,10 +34,10 @@ from .flowsignal import (
     frobenius_norm_signal_3x3_example,
     triviality_check,
 )
-from .matrixcore import companion_from_second_order, is_hyperbolic, planar_criterion, spectrum
-from .resonance import is_b_nonresonant, is_exp_b_nonresonant, is_exp_nonresonant_algebraic
+from .matrixcore import companion_from_second_order, planar_criterion, spectrum
+from .resonance import is_exp_b_nonresonant, is_exp_nonresonant_algebraic
 from .significand import digit_frequencies, digit_law_pmf
-from .udmod1 import SamplingGrid, TorusMapSpec, pushforward_fourier
+from .udmod1 import SamplingGrid, pushforward_fourier
 
 EXAMPLE_IDS = (
     "ex-2a",

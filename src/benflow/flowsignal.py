@@ -7,10 +7,25 @@ overflows long before interesting horizons), exclude near-zero
 samples, and combine the significand sup-distance with Weyl magnitudes
 of the log under the configured thresholds.
 
-Sampling uses the eigendecomposition of the generator: with r the
-spectral abscissa, e^{tA} e^{-rt} = e^{t(A - rI)} stays bounded, so
-log|f| = r t + log|shifted signal| is computed without overflow.  A
-matrix-power stepping fallback covers defective generators.
+Sampling works with the shifted flow: with r the spectral abscissa,
+e^{tA} e^{-rt} = e^{t(A - rI)} stays bounded, so log|f| = r t +
+log|shifted signal| is computed without overflow.
+
+For a diagonalizable generator the shifted flow is a sum of mode
+factors e^{(lambda - r)t}, one per conjugate pair or real eigenvalue.
+Grid times come in blocks t_0 + j*step, so a block's factors are its
+start row e^{(lambda - r)t_0} times one shared table of
+e^{(lambda - r) j step}: one complex multiply per entry, no exp.  An
+observable signal is then a real GEMV of the factors with the mode
+weights; a norm signal first builds all matrices with one GEMM against
+the rank-one mode projectors, then takes the row sum of squares
+(Frobenius), the entrywise max, a closed form (spectral, d = 2 and 3)
+or an SVD (spectral, d >= 4).
+
+Defective generators (eigenvector condition number from _EIG_COND_LIMIT
+on) fall back to blocked powers of S = e^{(A - rI) step}: S^1..S^m are
+formed once, and each chunk of samples is one GEMM of its stacked
+block bases against them, truncated at the first non-finite propagator.
 """
 from __future__ import annotations
 
@@ -18,18 +33,20 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .config import VerdictThresholds
-from .errors import DomainError, SignalOverflowError, UnsupportedStructureError, UsageError
+from .errors import DomainError, UnsupportedStructureError, UsageError
 from .matrixcore import as_square_matrix, expm, spectrum
 from .significand import DigitHistogram, SignificandECDF, validate_base
 from .udmod1 import SamplingGrid, WeylReport, cud_report
 
 _EIG_COND_LIMIT = 1e8
 _CHUNK = 200_000
+_TABLE = 1024  # rows of the shared mode-factor table (eigen path block length)
+_POWERS = 256  # propagator powers S^1..S^m kept by the stepping fallback
 
 VERDICT_PASS = "BENFORD_PASS"
 VERDICT_FAIL = "FAIL"
@@ -232,9 +249,12 @@ class _LogSample:
 class _FlowModes:
     """Eigendecomposition of a generator, cached for repeated sampling.
 
-    Exposes per-time mode factors e^{(lambda_j - r) t} so that signal
-    and norm sampling stay bounded; `weights(c)` turns an observable
-    coefficient matrix into mode weights.
+    A real generator's modes come in conjugate pairs whose contributions
+    are complex conjugates, so only the Im >= 0 representative of each
+    is kept (`mu` = lambda - r) and its coefficients are doubled.  A
+    complex coefficient array over the kept modes becomes a real one
+    interleaved as (Re, -Im) per mode, matching the layout of the mode
+    factors viewed as floats: Re(F c) = F.view(float) @ real form of c.
     """
 
     def __init__(self, a: np.ndarray):
@@ -250,88 +270,158 @@ class _FlowModes:
             self.vinv = None
             self.cond = math.inf
         self.diagonalizable = self.cond < _EIG_COND_LIMIT
+        self.keep = lam.imag >= 0
+        self.mu = (lam[self.keep] - self.r).astype(complex)
+
+    def _real_form(self, coeffs: np.ndarray) -> np.ndarray:
+        doubled = coeffs * np.where(self.mu.imag > 0, 2.0, 1.0)
+        return np.stack([doubled.real, -doubled.imag], axis=-1).reshape(*coeffs.shape[:-1], -1)
 
     def weights(self, c: np.ndarray) -> np.ndarray:
-        """Mode weights w_j with H(e^{tA}) = sum_j w_j e^{lambda_j t}."""
-        return np.einsum("aj,ab,jb->j", self.v, c, self.vinv)
+        """Real weights with H(e^{(A - rI)t}) = mode factors @ weights."""
+        v, vinv = self.v[:, self.keep], self.vinv[self.keep]
+        return self._real_form(np.einsum("aj,ab,jb->j", v, c, vinv))
 
-    def shifted_modes(self, times: np.ndarray) -> np.ndarray:
-        """Matrix of e^{(lambda_j - r) t} values, shape (len(times), d)."""
-        return np.exp(np.outer(times, self.lam - self.r))
+    def projectors(self) -> np.ndarray:
+        """Real (d*d, 2m) matrix taking mode factors to the entries of
+        e^{(A - rI)t}, row i*d + k for entry (i, k): the rank-one mode
+        projectors v_j u_j^T, with u_j^T the rows of V^-1."""
+        v, vinv = self.v[:, self.keep], self.vinv[self.keep]
+        d = v.shape[0]
+        return self._real_form(np.einsum("ij,jk->ikj", v, vinv).reshape(d * d, -1))
+
+
+def _eigen_logb(modes: _FlowModes, grid: SamplingGrid, b: int, functional) -> _LogSample:
+    """Sample a functional of the shifted mode factors e^{(lambda - r) t}.
+
+    Grid times come in blocks of _TABLE consecutive points t_0 + j*step,
+    so each factor is e^{mu t_0} (one start row per block) times the
+    shared table row e^{mu j step}: one complex multiply per entry.
+    `functional` maps the (n, 2m) real view of the factors to n values.
+    """
+    times = grid.times()
+    lnb = math.log(b)
+    table = np.exp(np.outer(grid.step * np.arange(_TABLE), modes.mu))
+    out = np.empty(times.size)
+    for lo in range(0, times.size, _CHUNK):
+        chunk = times[lo : lo + _CHUNK]
+        starts = np.exp(np.outer(chunk[::_TABLE], modes.mu))
+        factors = (starts[:, None, :] * table).reshape(-1, modes.mu.size)[: chunk.size]
+        with np.errstate(divide="ignore"):
+            out[lo : lo + _CHUNK] = np.log(np.abs(functional(factors.view(np.float64)))) / lnb
+    out += (modes.r / lnb) * times
+    return _LogSample(out)
 
 
 def _logb_observable(flow: ObservableOnFlow, grid: SamplingGrid, b: int) -> _LogSample:
     modes = _FlowModes(flow.generator)
-    times = grid.times()
-    lnb = math.log(b)
     if modes.diagonalizable:
         w = modes.weights(flow.observable.c)
-        out = np.empty(times.size)
-        for lo in range(0, times.size, _CHUNK):
-            chunk = times[lo : lo + _CHUNK]
-            vals = (modes.shifted_modes(chunk) @ w).real
-            with np.errstate(divide="ignore"):
-                out[lo : lo + _CHUNK] = np.log(np.abs(vals)) / lnb
-        out += (modes.r / lnb) * times
-        return _LogSample(out)
-    return _stepping_logb(flow.generator, grid, b, lambda m: flow.observable(m))
+        return _eigen_logb(modes, grid, b, lambda factors: factors @ w)
+    c = flow.observable.c.ravel()
+    return _stepping_logb(flow.generator, grid, b, lambda entries: c @ entries)
 
 
 def _logb_norm(flow: NormOnFlow, grid: SamplingGrid, b: int) -> _LogSample:
     modes = _FlowModes(flow.generator)
-    times = grid.times()
-    lnb = math.log(b)
     if modes.diagonalizable:
-        out = np.empty(times.size)
-        for lo in range(0, times.size, _CHUNK):
-            chunk = times[lo : lo + _CHUNK]
-            diag = modes.shifted_modes(chunk)  # (n, d)
-            mats = np.einsum("ij,nj,jk->nik", modes.v, diag, modes.vinv).real
-            out[lo : lo + _CHUNK] = np.log(_batched_norm(mats, flow.norm)) / lnb
-        out += (modes.r / lnb) * times
-        return _LogSample(out)
-    return _stepping_logb(flow.generator, grid, b, lambda m: _matrix_norm(m, flow.norm))
+        proj = modes.projectors()
+        return _eigen_logb(modes, grid, b, lambda factors: _batched_norm(proj @ factors.T, flow.norm))
+    return _stepping_logb(flow.generator, grid, b, lambda entries: _batched_norm(entries, flow.norm))
 
 
-def _batched_norm(mats: np.ndarray, kind: str) -> np.ndarray:
+def _batched_norm(entries: np.ndarray, kind: str) -> np.ndarray:
+    """Norms of d x d matrices stored by entry: row i*d + k of the
+    (d*d, n) array holds entry (i, k) of all n matrices."""
     if kind == "frobenius":
-        return np.sqrt(np.sum(mats**2, axis=(1, 2)))
+        return np.sqrt(np.einsum("en,en->n", entries, entries))
     if kind == "max":
-        return np.max(np.abs(mats), axis=(1, 2))
-    if mats.shape[1] == 2:
-        # closed form for 2x2: largest singular value from F-norm and det
-        f2 = np.sum(mats**2, axis=(1, 2))
-        det = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
-        gap = np.sqrt(np.maximum(f2**2 - 4.0 * det**2, 0.0))
-        return np.sqrt((f2 + gap) / 2.0)
-    return np.linalg.svd(mats, compute_uv=False)[:, 0]
+        return np.max(np.abs(entries), axis=0)
+    d = math.isqrt(entries.shape[0])
+    if d == 2:
+        # sigma_1 +- sigma_2 = |(a + d, c - b)|, |(a - d, b + c)|: no cancellation
+        a, b, c, e = entries
+        return 0.5 * (np.hypot(a + e, c - b) + np.hypot(a - e, b + c))
+    if d == 3:
+        return _spectral_norm_3x3(entries)
+    return np.linalg.svd(entries.T.reshape(-1, d, d), compute_uv=False)[:, 0]
+
+
+# Where 12 x^2 - 3 (x = cos phi below) falls under this, the top two Gram
+# eigenvalues nearly coincide and the trigonometric form loses digits.
+_TRIG_SPLIT_FLOOR = 0.05
+
+
+def _spectral_norm_3x3(entries: np.ndarray) -> np.ndarray:
+    """Largest singular value of 3x3 matrices stored by entry.
+
+    The top eigenvalue of the Gram matrix G = M^T M in closed form:
+    with q = tr G / 3, p^2 = |G - qI|_F^2 / 6 and cos 3phi = det(G - qI) / 2p^3,
+    lambda_max = q + 2p cos phi.  Near a double top eigenvalue that form
+    is ill-conditioned (d lambda / d cos 3phi = 2p / (12 cos^2 phi - 3)),
+    so those few matrices go through SVD instead.
+    """
+    col = entries.reshape(3, 3, -1).transpose(1, 0, 2)  # col[k][i] = M_ik
+    g00, g11, g22 = (np.einsum("in,in->n", c, c) for c in col)
+    g01, g02, g12 = (np.einsum("in,in->n", col[k], col[l]) for k, l in ((0, 1), (0, 2), (1, 2)))
+    q = (g00 + g11 + g22) / 3.0
+    b00, b11, b22 = g00 - q, g11 - q, g22 - q
+    p = np.sqrt((b00 * b00 + b11 * b11 + b22 * b22 + 2.0 * (g01 * g01 + g02 * g02 + g12 * g12)) / 6.0)
+    det = b00 * (b11 * b22 - g12 * g12) - g01 * (g01 * b22 - g12 * g02) + g02 * (g01 * g12 - b11 * g02)
+    half = np.divide(det, 2.0 * p**3, out=np.zeros_like(p), where=p > 0)
+    x = np.cos(np.arccos(np.clip(half, -1.0, 1.0)) / 3.0)
+    norm = np.sqrt(q + 2.0 * p * x)
+    loose = 12.0 * x * x - 3.0 < _TRIG_SPLIT_FLOOR
+    if loose.any():
+        norm[loose] = np.linalg.svd(entries[:, loose].T.reshape(-1, 3, 3), compute_uv=False)[:, 0]
+    return norm
 
 
 def _stepping_logb(a: np.ndarray, grid: SamplingGrid, b: int, functional) -> _LogSample:
-    """Fallback for defective generators: walk e^{(A - rI) step} along the grid.
+    """Fallback for defective generators: blocked powers of S = e^{(A - rI) step}.
 
-    The shifted propagator grows at most polynomially, so overflow can
-    only come from extreme Jordan structure; if it does, the horizon is
-    truncated and reported.
+    The shifted propagator at t_i = offset + i*step is E0 S^i, with
+    E0 = e^{(A - rI) offset}.  S^1..S^m are formed once; a chunk of
+    samples is then the stack of block bases E0 S^{km} (one small
+    product each) times [S^1 | ... | S^m], a single GEMM, and
+    `functional` maps the chunk's (d*d, n) entries to n values.  The
+    shifted propagator grows at most polynomially, so overflow can only
+    come from extreme Jordan structure; the horizon is then truncated at
+    the first non-finite propagator and reported.
     """
     r = float(np.linalg.eigvals(a).real.max())
     d = a.shape[0]
     step_mat = expm(a - r * np.eye(d), grid.step)
+    powers = [step_mat]
+    for _ in range(_POWERS - 1):
+        powers.append(powers[-1] @ step_mat)
+    side = np.concatenate(powers, axis=1)  # (d, m*d), block j is S^{j+1}
     times = grid.times()
     lnb = math.log(b)
-    out = np.full(times.size, -np.inf)
-    current = expm(a - r * np.eye(d), grid.offset) if grid.offset else np.eye(d)
-    truncated_at = None
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, t in enumerate(times):
-            current = current @ step_mat
-            if not np.all(np.isfinite(current)):
-                truncated_at = float(t)
-                out = out[:i]
+    out = np.empty(times.size)
+    base = expm(a - r * np.eye(d), grid.offset) if grid.offset else np.eye(d)
+    kept, truncated_at = times.size, None
+    span = _CHUNK // _POWERS * _POWERS
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for lo in range(0, times.size, span):
+            count = min(span, times.size - lo)
+            nblocks = -(-count // _POWERS)
+            bases = np.empty((nblocks, d, d))
+            for k in range(nblocks):
+                bases[k] = base
+                base = base @ powers[-1]
+            prod = bases.reshape(nblocks * d, d) @ side  # [k, i] x [j, l]
+            entries = prod.reshape(nblocks, d, _POWERS, d).transpose(1, 3, 0, 2).reshape(d * d, -1)[:, :count]
+            bad = ~np.isfinite(entries).all(axis=0)
+            if bad.any():
+                count = int(np.argmax(bad))
+                kept, truncated_at = lo + count, float(times[lo + count])
+                entries = entries[:, :count]
+            if count:
+                out[lo : lo + count] = np.log(np.abs(functional(entries))) / lnb
+            if truncated_at is not None:
                 break
-            value = functional(current)
-            out[i] = -np.inf if value == 0.0 else math.log(abs(value)) / lnb
-    out = out + (r / lnb) * times[: out.size]
+    out = out[:kept] + (r / lnb) * times[:kept]
     return _LogSample(out, truncated_at=truncated_at)
 
 

@@ -60,6 +60,38 @@ class TestAnalyzeMatrix:
         assert code == EXIT_OK
         assert report["exact"]["resonant"] is False
 
+    @pytest.mark.parametrize(
+        "matrix, eigenvalues, message",
+        [
+            # diag(2, 3) annotated with the single eigenvalue 0
+            ([[2.0, 0.0], [0.0, 3.0]], [("0", "0")], "lists 1 eigenvalues"),
+            # spectrum 1 +- 2i annotated as 2 +- 2i
+            ([[1.0, -2.0], [2.0, 1.0]], [("2", "2"), ("2", "-2")], "not an eigenvalue"),
+        ],
+    )
+    def test_mismatched_annotation_exit_2(self, capsys, tmp_path, matrix, eigenvalues, message):
+        path = tmp_path / "mismatch.json"
+        annotation = {"symbols": [], "eigenvalues": [{"re": {"1": re}, "im": {"1": im}} for re, im in eigenvalues]}
+        path.write_text(json.dumps({"matrix": matrix, "exact_spectrum": annotation}))
+        code, out, err = run_cli(capsys, "analyze-matrix", str(path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert message in err
+
+    def test_annotation_matches_with_multiplicity(self, capsys, tmp_path):
+        path = tmp_path / "double.json"
+        annotation = {"symbols": [], "eigenvalues": [{"re": {"1": "2"}, "im": {}}] * 2}
+        path.write_text(json.dumps({"matrix": [[2.0, 0.0], [0.0, 2.0]], "exact_spectrum": annotation}))
+        code, out, _ = run_cli(capsys, "analyze-matrix", str(path))
+        assert code == EXIT_OK
+        assert json.loads(out)["eigenvalues"] == [{"re": 2.0, "im": 0.0, "multiplicity": 2, "jordan_index": 0}]
+        # the right values with the wrong multiplicities are still a mismatch
+        annotation["eigenvalues"] = [{"re": {"1": "2"}, "im": {}}, {"re": {"1": "3"}, "im": {}}]
+        path.write_text(json.dumps({"matrix": [[2.0, 0.0], [0.0, 3.0]], "exact_spectrum": annotation}))
+        assert run_cli(capsys, "analyze-matrix", str(path))[0] == EXIT_OK
+        path.write_text(json.dumps({"matrix": [[2.0, 0.0], [0.0, 2.0]], "exact_spectrum": annotation}))
+        assert run_cli(capsys, "analyze-matrix", str(path))[0] == EXIT_USAGE
+
     def test_parse_error_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("[[1, 2], [3,]]")
