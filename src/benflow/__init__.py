@@ -45,7 +45,6 @@ from .resonance import (
 )
 from .significand import (
     DigitHistogram,
-    SignificandECDF,
     benford_cdf,
     digit_frequencies,
     digit_law_pmf,
@@ -61,6 +60,5 @@ from .udmod1 import (
     delta_sampling_check,
     pushforward_fourier,
     torus_map_apply,
-    weyl_average_function,
     weyl_sum_sequence,
 )

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import RunConfig, load_config
-from .dataio import load_matrix, parse_exact_spectrum, write_digit_csv, write_ecdf_csv
+from .dataio import load_matrix, load_signal_csv, parse_exact_spectrum, write_digit_csv, write_ecdf_csv
 from .demos import EXAMPLE_IDS, run_example
 from .errors import BenflowError, SignalOverflowError, UsageError
 from .flowsignal import (
@@ -29,7 +29,6 @@ from .flowsignal import (
     Synthetic,
     benford_report_from_samples,
     benford_verdict,
-    load_signal_csv,
 )
 from .genericity import EnsembleSpec, resonance_census
 from .matrixcore import SpectrumInfo, is_hyperbolic, spectrum

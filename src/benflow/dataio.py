@@ -1,4 +1,4 @@
-"""File formats: matrices, exact spectrum annotations, report emission.
+"""File formats: matrices, exact spectrum annotations, signal CSVs, report emission.
 
 Matrices arrive as CSV (one row per line) or JSON (a plain
 array-of-arrays, or an object with a "matrix" key and an optional
@@ -160,6 +160,28 @@ def fixture_text(name: str) -> str:
     except FileNotFoundError:
         available = sorted(p.name for p in (resources.files("benflow") / "fixtures").iterdir())
         raise UsageError(f"no fixture {name!r}; available: {available}") from None
+
+
+def load_signal_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
+    """Read a two-column (t, value) CSV; a single header row is tolerated."""
+    times, values = [], []
+    with open(path, newline="", encoding="utf-8") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) < 2:
+                raise UsageError(f"{path}: line {lineno}: expected two columns")
+            try:
+                t, v = float(row[0]), float(row[1])
+            except ValueError:
+                if lineno == 1:  # header
+                    continue
+                raise UsageError(f"{path}: line {lineno}: non-numeric row {row[:2]}") from None
+            times.append(t)
+            values.append(v)
+    if not times:
+        raise UsageError(f"{path}: no data rows")
+    return np.asarray(times), np.asarray(values)
 
 
 def write_digit_csv(path: str | Path, histogram, pmf) -> None:

@@ -208,10 +208,22 @@ def _run_ex_3_4_ii(config: RunConfig) -> DemoResult:
     )
 
 
+def ex_3_5_log_fixtures(t: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """log_b of the 3d reference flow's Frobenius norm sqrt(2 e^{2t} + e^{2at}), a = ln 10 - 1/2,
+    and of its cubic composite e^{(1+2a)t} cos(pi t) (3 - 3 e^{-(a-1)t} cos(pi t) + e^{-2(a-1)t} cos(pi t)^2)."""
+    alpha = _LN10 - 0.5
+    lnb = math.log(b)
+    norm_logb = (alpha * t + 0.5 * np.log1p(2.0 * np.exp(-2.0 * (alpha - 1.0) * t))) / lnb
+    cos_t = np.cos(np.pi * t)
+    tail = 3.0 - 3.0 * np.exp(-(alpha - 1.0) * t) * cos_t + np.exp(-2.0 * (alpha - 1.0) * t) * cos_t**2
+    with np.errstate(divide="ignore"):
+        cubic_logb = ((1.0 + 2.0 * alpha) * t + np.log(np.abs(cos_t)) + np.log(np.abs(tail))) / lnb
+    return norm_logb, cubic_logb
+
+
 def _run_ex_3_5(config: RunConfig) -> DemoResult:
     """3d reference flow: nonresonant spectrum, norm conforms, but a cubic
     composite observable of the same flow does not."""
-    alpha = _LN10 - 0.5
     exact_ok = all(not is_exp_b_nonresonant(three_mode_set(b), b).resonant for b in (2, 10))
     gen = frobenius_example_generator()
     ts = np.linspace(0.0, 10.0, 101)
@@ -219,17 +231,10 @@ def _run_ex_3_5(config: RunConfig) -> DemoResult:
     direct = np.array([eval_signal(NormOnFlow(gen, "frobenius"), t) for t in ts])
     closed_form_err = float(np.max(np.abs(closed - direct) / closed))
     grid = SamplingGrid(T=config.horizon, step=config.step)
-    t = grid.times()
-    lnb = math.log(config.base)
-    norm_logb = (alpha * t + 0.5 * np.log1p(2.0 * np.exp(-2.0 * (alpha - 1.0) * t))) / lnb
+    norm_logb, cubic_logb = ex_3_5_log_fixtures(grid.times(), config.base)
     norm_report = benford_report_from_log_samples(
         norm_logb, config.base, config.thresholds, config.weyl_k, horizon=grid.T, step=grid.step
     )
-    # cubic composite fixture: e^{(1+2a)t} cos(pi t) (3 - 3 e^{-(a-1)t} cos(pi t) + e^{-2(a-1)t} cos(pi t)^2)
-    cos_t = np.cos(np.pi * t)
-    tail = 3.0 - 3.0 * np.exp(-(alpha - 1.0) * t) * cos_t + np.exp(-2.0 * (alpha - 1.0) * t) * cos_t**2
-    with np.errstate(divide="ignore"):
-        cubic_logb = ((1.0 + 2.0 * alpha) * t + np.log(np.abs(cos_t)) + np.log(np.abs(tail))) / lnb
     cubic_report = benford_report_from_log_samples(
         cubic_logb, 10, config.thresholds, config.weyl_k, horizon=grid.T, step=grid.step
     )

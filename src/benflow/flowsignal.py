@@ -4,8 +4,9 @@ A signal is one of: a linear observable applied to e^{tA}, a matrix
 norm of e^{tA}, or a synthetic mode sum e^{rt} t^k sum_j u_j cos(w_j t).
 Verdicts sample log_b|f| over a uniform grid (never |f| itself, which
 overflows long before interesting horizons), exclude near-zero
-samples, and combine the significand sup-distance with Weyl magnitudes
-of the log under the configured thresholds.
+samples, and judge the sorted fractional parts of the kept logs: their
+KS distance from uniform (the significand sup-distance) and their Weyl
+magnitudes, under the configured thresholds.
 
 Sampling works with the shifted flow: with r the spectral abscissa,
 e^{tA} e^{-rt} = e^{t(A - rI)} stays bounded, so log|f| = r t +
@@ -29,10 +30,8 @@ block bases against them, truncated at the first non-finite propagator.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -40,7 +39,7 @@ import numpy as np
 from .config import VerdictThresholds
 from .errors import DomainError, UnsupportedStructureError, UsageError
 from .matrixcore import as_square_matrix, expm, spectrum
-from .significand import DigitHistogram, SignificandECDF, validate_base
+from .significand import DigitHistogram, digit_counts, fractions_of_logs, log_fractions, uniform_distance, validate_base
 from .udmod1 import SamplingGrid, WeylReport, cud_report
 
 _EIG_COND_LIMIT = 1e8
@@ -509,64 +508,48 @@ def _verdict_from_logb(
     thresholds: VerdictThresholds,
     K: int,
     truncated_at: float | None,
+    raw: np.ndarray | None = None,
 ) -> BenfordReport:
+    """Exclude exact zeros and samples below zero_rel times the running
+    max of |f|, then judge the sorted fractions of the kept log_b|f|.
+    When the raw values behind `logb` are given, the fractions come
+    from them, so values on a digit edge land in that digit."""
     total = logb.size
     finite = np.isfinite(logb)
     guarded = np.where(finite, logb, -np.inf)
     running_max = np.maximum.accumulate(guarded)
     cutoff = math.log(thresholds.zero_rel) / math.log(b)
     keep = finite & (guarded >= running_max + cutoff)
-    excluded = int(total - keep.sum())
+    common = dict(
+        base=b, horizon=horizon, step=step, thresholds=thresholds, truncated_at=truncated_at,
+        excluded_sample_count=int(total - keep.sum()), sample_count=total,
+    )
     if not keep.any():
         return BenfordReport(
-            base=b,
-            horizon=horizon,
-            step=step,
-            verdict=VERDICT_TRIVIAL,
-            inconclusive=False,
-            significand_distance=None,
-            digit_histogram=None,
-            weyl=None,
-            excluded_sample_count=excluded,
-            sample_count=total,
-            thresholds=thresholds,
-            truncated_at=truncated_at,
+            verdict=VERDICT_TRIVIAL, inconclusive=False, significand_distance=None,
+            digit_histogram=None, weyl=None, **common,
         )
-    kept = logb[keep]
-    frac = kept - np.floor(kept)
-    sig = np.clip(np.power(float(b), frac), 1.0, math.nextafter(float(b), 1.0))
-    ecdf = SignificandECDF.from_significands(sig, b)
-    distance = ecdf.sup_distance()
-    digits = sig.astype(np.int64)
-    binned = np.bincount(digits, minlength=b)
-    hist = DigitHistogram(base=b, counts={d: int(binned[d]) for d in range(1, b) if binned[d]}, zeros=0, total=int(kept.size))
-    weyl = cud_report(kept, K)
-    stride = max(1, ecdf.values.size // 512)
-    quantiles = tuple(float(x) for x in ecdf.values[stride - 1 :: stride])
+    u = fractions_of_logs(logb[keep]) if raw is None else log_fractions(raw[keep], b)
+    distance = uniform_distance(u)
+    weyl = cud_report(u, K)
+    stride = max(1, u.size // 512)
+    sig = np.minimum(np.power(float(b), u[stride - 1 :: stride]), math.nextafter(float(b), 1.0))
     floor = weyl.noise_floor(thresholds.weyl_multiplier)
     max_mag = weyl.max_magnitude
-    dist_ok = distance < thresholds.distance
-    weyl_ok = max_mag < floor
-    if dist_ok and weyl_ok:
+    if distance < thresholds.distance and max_mag < floor:
         verdict, inconclusive = VERDICT_PASS, False
     elif distance > thresholds.fail_factor * thresholds.distance or max_mag > thresholds.fail_factor * floor:
         verdict, inconclusive = VERDICT_FAIL, False
     else:
         verdict, inconclusive = VERDICT_FAIL, True
     return BenfordReport(
-        base=b,
-        horizon=horizon,
-        step=step,
         verdict=verdict,
         inconclusive=inconclusive,
         significand_distance=distance,
-        digit_histogram=hist,
+        digit_histogram=DigitHistogram(base=b, counts=digit_counts(u, b), zeros=0, total=int(u.size)),
         weyl=weyl,
-        excluded_sample_count=excluded,
-        sample_count=total,
-        thresholds=thresholds,
-        truncated_at=truncated_at,
-        ecdf_quantiles=quantiles,
+        ecdf_quantiles=tuple(sig.tolist()),
+        **common,
     )
 
 
@@ -603,7 +586,7 @@ def benford_report_from_samples(
         raise DomainError("signal values must be finite")
     with np.errstate(divide="ignore"):
         logb = np.log(np.abs(arr)) / math.log(b)
-    return _verdict_from_logb(logb, b, float(arr.size), 1.0, thresholds, K, None)
+    return _verdict_from_logb(logb, b, float(arr.size), 1.0, thresholds, K, None, arr)
 
 
 def benford_report_from_log_samples(
@@ -630,25 +613,3 @@ def benford_report_from_log_samples(
     return _verdict_from_logb(
         arr, b, horizon if horizon is not None else float(arr.size), step or 1.0, thresholds, K, None
     )
-
-
-def load_signal_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a two-column (t, value) CSV; a single header row is tolerated."""
-    times, values = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) < 2:
-                raise UsageError(f"{path}: line {lineno}: expected two columns")
-            try:
-                t, v = float(row[0]), float(row[1])
-            except ValueError:
-                if lineno == 1:  # header
-                    continue
-                raise UsageError(f"{path}: line {lineno}: non-numeric row {row[:2]}") from None
-            times.append(t)
-            values.append(v)
-    if not times:
-        raise UsageError(f"{path}: no data rows")
-    return np.asarray(times), np.asarray(values)

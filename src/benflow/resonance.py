@@ -26,12 +26,11 @@ from typing import Iterable, Sequence
 
 import mpmath
 
-from .errors import DomainError, UsageError
+from .errors import UsageError
 from .exactreal import (
     ExactComplex,
     ExactReal,
     Monomial,
-    SymbolBasis,
     membership_over_monomials,
     mul_symbol,
     span_membership,

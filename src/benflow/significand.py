@@ -8,10 +8,14 @@ digits specializes to P(digit = d) = log_b(1 + 1/d).
 The scalar `significand` is computed by exact integer exponent search
 followed by one correctly-rounded rational division, never by a
 log/pow round trip: that keeps significand(x * b^k) == significand(x)
-whenever the scaled input is exactly representable.  The vectorized
-helper used on large sample arrays renormalizes after a log-based
-exponent guess, which is accurate to a couple of ulps and is only used
-for statistics with tolerances far above that.
+whenever the scaled input is exactly representable.
+
+Sample statistics never form significands: S <= s exactly when the
+fractional part u of log_b|x| is at most log_b s, so the KS distance
+(`uniform_distance`), the digit counts (`digit_counts`) and the Weyl
+sums (`udmod1.cud_report`) are all read off one sorted array of u,
+made from log samples (`fractions_of_logs`) or raw values
+(`log_fractions`).
 """
 from __future__ import annotations
 
@@ -97,30 +101,75 @@ def digit_law_pmf(b: int = 10) -> np.ndarray:
     return np.log1p(1.0 / digits) / math.log(b)
 
 
-def _significand_array(values: np.ndarray, b: int) -> np.ndarray:
-    """Significands of the nonzero entries of `values` (zeros dropped).
+_BELOW_ONE = math.nextafter(1.0, 0.0)
 
-    Renormalization-based; accurate to a few ulps, which is far below
-    every statistical tolerance this path feeds.
+
+def fractions_of_logs(logb: np.ndarray) -> np.ndarray:
+    """Sorted fractional parts u in [0, 1) of log_b values.
+
+    For a tiny negative log, l - floor(l) rounds to exactly 1.0; u is
+    clipped to the largest float below 1, which puts it in digit b - 1.
+    """
+    u = logb - np.floor(logb)
+    np.minimum(u, _BELOW_ONE, out=u)
+    u.sort()
+    return u
+
+
+def _power_or_inf(b: int, j: int) -> float:
+    try:
+        return float(b**j)  # correctly rounded, exact while b^j < 2^53
+    except OverflowError:
+        return math.inf
+
+
+def log_fractions(values: np.ndarray, b: int) -> np.ndarray:
+    """Sorted fractional parts of log_b|x| over the nonzero entries of `values`.
+
+    |x| = S b^k is scaled to S with one rounding (exact while
+    b^|k| < 2^53), then u = log(S) / ln b, which is bit-equal to the
+    edge in `digit_counts` when S = d.  Where b^|k| overflows (subnormal
+    |x|, or |x| near the float maximum) u is frac(log|x| / ln b), good
+    to about 1e-13.
     """
     a = np.abs(np.asarray(values, dtype=float))
     if a.size and not np.all(np.isfinite(a)):
         raise DomainError("samples must be finite")
     a = a[a > 0.0]
-    if a.size == 0:
-        return a
-    logb = math.log(b)
-    k = np.floor(np.log(a) / logb)
-    s = a * np.power(float(b), -k)
-    for _ in range(2):  # k guess is off by at most 1 either way
-        high = s >= b
-        if high.any():
-            s[high] /= b
-        low = s < 1.0
-        if low.any():
-            s[low] *= b
-    np.clip(s, 1.0, math.nextafter(float(b), 1.0), out=s)
-    return s
+    lnb = math.log(b)
+    logb = np.log(a) / lnb
+    k = np.floor(logb).astype(np.int64)
+    powers = np.array([_power_or_inf(b, j) for j in range(int(np.abs(k).max(initial=0)) + 2)])
+
+    def scaled(k: np.ndarray) -> np.ndarray:
+        return np.where(k >= 0, a / powers[np.maximum(k, 0)], a * powers[np.maximum(-k, 0)])
+
+    s = scaled(k)
+    k += (s >= b).astype(np.int64) - (s < 1.0)  # the log guess is off by at most one
+    u = np.log(scaled(k)) / lnb
+    huge = (s == 0.0) | (s == np.inf) | ~np.isfinite(u)
+    u[(u < 0.0) | (u >= 1.0)] = _BELOW_ONE  # |x| / b^k was just below b and rounded to b
+    u[huge] = logb[huge]
+    return fractions_of_logs(u)
+
+
+def uniform_distance(u: np.ndarray) -> float:
+    """Kolmogorov-Smirnov distance of sorted fractions u from the uniform law.
+
+    S <= s exactly when u <= log_b s, so this is also the sup-distance
+    of the significand ECDF from log_b.  Both one-sided gaps at every
+    jump are checked.
+    """
+    ranks = np.arange(u.size + 1) / u.size
+    return float(max((ranks[1:] - u).max(), (u - ranks[:-1]).max()))
+
+
+def digit_counts(u: np.ndarray, b: int) -> dict[int, int]:
+    """First-digit counts of sorted fractions u in [0, 1): digit d holds
+    log_b d <= u < log_b(d + 1).  Digits that never occur are left out."""
+    edges = np.searchsorted(u, np.log(np.arange(2, b, dtype=float)) / math.log(b))
+    counts = np.diff(np.concatenate(([0], edges, [u.size])))
+    return {d: int(c) for d, c in enumerate(counts, start=1) if c}
 
 
 @dataclass(frozen=True)
@@ -151,55 +200,9 @@ def digit_frequencies(samples: Iterable[float], b: int = 10) -> DigitHistogram:
     """Histogram of first digits of the samples in base b."""
     b = validate_base(b)
     arr = np.asarray(list(samples) if not isinstance(samples, np.ndarray) else samples, dtype=float)
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise DomainError("samples must be finite")
-    total = int(arr.size)
+    u = log_fractions(arr, b)
     zeros = int(np.count_nonzero(arr == 0.0))
-    sig = _significand_array(arr, b)
-    digits = sig.astype(np.int64)
-    binned = np.bincount(digits, minlength=b)
-    counts = {d: int(binned[d]) for d in range(1, b) if binned[d]}
-    return DigitHistogram(base=b, counts=counts, zeros=zeros, total=total)
-
-
-@dataclass(frozen=True)
-class SignificandECDF:
-    """Sorted nonzero significands of a sample, ready for sup-distance."""
-
-    base: int
-    values: np.ndarray  # sorted, each in [1, base)
-
-    @classmethod
-    def from_samples(cls, samples: Sequence[float] | np.ndarray, b: int = 10) -> "SignificandECDF":
-        b = validate_base(b)
-        sig = _significand_array(np.asarray(samples, dtype=float), b)
-        if sig.size == 0:
-            raise UsageError("need at least one nonzero sample")
-        sig.sort()
-        return cls(base=b, values=sig)
-
-    @classmethod
-    def from_significands(cls, sig: np.ndarray, b: int = 10) -> "SignificandECDF":
-        b = validate_base(b)
-        sig = np.asarray(sig, dtype=float)
-        if sig.size == 0:
-            raise UsageError("need at least one nonzero sample")
-        if np.any(sig < 1.0) or np.any(sig >= b):
-            raise DomainError("significands must lie in [1, base)")
-        sig = np.sort(sig)
-        return cls(base=b, values=sig)
-
-    def sup_distance(self) -> float:
-        """Sup over s of |ECDF(s) - log_b s|, attained at the jump points.
-
-        Both one-sided gaps at every jump are checked, as for a
-        one-sample Kolmogorov-Smirnov statistic against log_b.
-        """
-        n = self.values.size
-        target = np.log(self.values) / math.log(self.base)
-        upper = np.arange(1, n + 1) / n - target
-        lower = target - np.arange(0, n) / n
-        return float(max(upper.max(), lower.max()))
+    return DigitHistogram(base=b, counts=digit_counts(u, b), zeros=zeros, total=int(arr.size))
 
 
 def empirical_distance(samples: Sequence[float] | np.ndarray, b: int = 10) -> float:
@@ -208,7 +211,11 @@ def empirical_distance(samples: Sequence[float] | np.ndarray, b: int = 10) -> fl
     Exact zeros are excluded (they belong to the histogram, not the
     ECDF).  Raises UsageError when no nonzero sample remains.
     """
+    b = validate_base(b)
     arr = np.asarray(samples, dtype=float)
     if arr.size == 0:
         raise UsageError("empirical_distance requires a non-empty sample")
-    return SignificandECDF.from_samples(arr, b).sup_distance()
+    u = log_fractions(arr, b)
+    if u.size == 0:
+        raise UsageError("need at least one nonzero sample")
+    return uniform_distance(u)

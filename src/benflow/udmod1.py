@@ -95,15 +95,6 @@ def weyl_sum_sequence(x: Sequence[float] | np.ndarray, k: int) -> complex:
     return complex(np.exp(2j * np.pi * k * arr).mean())
 
 
-def weyl_average_function(samples: Sequence[float] | np.ndarray, k: int) -> complex:
-    """Riemann-sum estimate of the time average of exp(2 pi i k f(t)).
-
-    The samples must come from a uniform grid over [0, T]; the estimate
-    is then the plain mean, as for a sequence.
-    """
-    return weyl_sum_sequence(samples, k)
-
-
 def cud_report(samples: Sequence[float] | np.ndarray, K: int = 5) -> WeylReport:
     """Weyl magnitudes of the sample at frequencies 1..K."""
     if K < 1:
@@ -172,7 +163,7 @@ def delta_sampling_check(
         seq = f(d * np.arange(1, n + 1))
         sums.append(weyl_sum_sequence(seq, k))
     grid = SamplingGrid(T=T, step=continuous_step)
-    continuous = weyl_average_function(f(grid.times()), k)
+    continuous = weyl_sum_sequence(f(grid.times()), k)  # Riemann sum of the time average
     flagged = tuple(abs(s - continuous) > tolerance for s in sums)
     return DeltaComparison(
         deltas=deltas,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from benflow.config import VerdictThresholds
+from benflow.dataio import load_signal_csv
 from benflow.demos import psi_norm_closed_form, spiral_generators
 from benflow.errors import DomainError, UnsupportedStructureError, UsageError
 from benflow.flowsignal import (
@@ -21,7 +22,6 @@ from benflow.flowsignal import (
     eval_signal,
     frobenius_example_generator,
     frobenius_norm_signal_3x3_example,
-    load_signal_csv,
     sample_log_signal,
     triviality_check,
 )

@@ -8,14 +8,12 @@ from benflow.errors import UsageError
 from benflow.genericity import (
     CensusReport,
     EnsembleSpec,
-    characteristic_polynomial,
     discriminant_proxy,
-    enumerate_integer_support,
-    exact_discriminant,
     resonance_census,
     sample_generator,
 )
 from benflow.resonance import is_exp_nonresonant_algebraic
+from exact_oracles import characteristic_polynomial, enumerate_integer_support, exact_discriminant
 
 
 class TestEnsemble:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from benflow.errors import DomainError, UsageError
 from benflow.significand import (
     DigitHistogram,
-    SignificandECDF,
     benford_cdf,
     digit_frequencies,
     digit_law_pmf,
@@ -171,13 +170,3 @@ class TestDigitFrequencies:
         with pytest.raises(UsageError):
             DigitHistogram(base=10, counts={1: 2}, zeros=0, total=3)
 
-
-class TestSignificandECDF:
-    def test_rejects_out_of_range(self):
-        with pytest.raises(DomainError):
-            SignificandECDF.from_significands(np.array([0.5]), 10)
-
-    def test_matches_empirical_distance(self):
-        samples = np.array([2.0, 30.0, 0.4, 7.0])
-        ecdf = SignificandECDF.from_samples(samples, 10)
-        assert ecdf.sup_distance() == pytest.approx(empirical_distance(samples, 10))

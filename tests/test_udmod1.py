@@ -15,7 +15,6 @@ from benflow.udmod1 import (
     delta_sampling_check,
     pushforward_fourier,
     torus_map_apply,
-    weyl_average_function,
     weyl_sum_sequence,
 )
 
@@ -105,21 +104,21 @@ class TestWeylAverage:
     def test_linear_phase_closed_form(self):
         alpha, T, k = 0.37, 500.0, 2
         grid = SamplingGrid(T=T, step=1e-3)
-        estimate = weyl_average_function(alpha * grid.times(), k)
+        estimate = weyl_sum_sequence(alpha * grid.times(), k)
         closed = (cmath.exp(2j * math.pi * k * alpha * T) - 1) / (2j * math.pi * k * alpha * T)
         assert abs(estimate - closed) < 1e-3
         assert abs(estimate) <= 1.0 / (math.pi * abs(k) * alpha * T) + 1e-2
 
     def test_constant_function(self):
         c = 0.3123
-        assert weyl_average_function(np.full(500, c), 2) == pytest.approx(
+        assert weyl_sum_sequence(np.full(500, c), 2) == pytest.approx(
             cmath.exp(2j * math.pi * 2 * c)
         )
 
     def test_full_period(self):
         delta = 1e-3
         grid = SamplingGrid(T=1.0, step=delta)
-        value = weyl_average_function(grid.times(), 1)
+        value = weyl_sum_sequence(grid.times(), 1)
         assert abs(value) < 2 * math.pi * delta
 
 
