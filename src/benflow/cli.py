@@ -34,7 +34,6 @@ from .genericity import EnsembleSpec, resonance_census
 from .matrixcore import SpectrumInfo, is_hyperbolic, spectrum
 from .resonance import is_exp_b_nonresonant, is_exp_nonresonant_algebraic
 from .significand import digit_law_pmf
-from .udmod1 import SamplingGrid
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -48,9 +47,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Benford conformance analysis for linear flows",
     )
     parser.add_argument("--version", action="version", version=f"benflow {__version__}")
-    parser.add_argument("--base", type=int, help="significand base b >= 2 (default 10)")
-    parser.add_argument("--horizon", type=float, help="sampling horizon T (default 1e4)")
-    parser.add_argument("--step", type=float, help="sampling step (default 1e-2)")
+    defaults = RunConfig()
+    parser.add_argument("--base", type=int, help=f"significand base b >= 2 (default {defaults.base})")
+    parser.add_argument("--horizon", type=float, help=f"sampling horizon T (default {defaults.horizon:g})")
+    parser.add_argument("--step", type=float, help=f"sampling step (default {defaults.step:g})")
     parser.add_argument("--seed", type=int, help="seed for randomized commands")
     parser.add_argument("--out", type=Path, help="write the report here instead of stdout")
     parser.add_argument("--format", choices=("json", "csv"), help="report format (default json)")
@@ -139,7 +139,6 @@ def _check_annotation(values: list[complex], info: SpectrumInfo, tol: float) -> 
 def _cmd_analyze(args, cfg: RunConfig) -> int:
     matrix, annotation = load_matrix(args.matrix)
     info = spectrum(matrix, cfg.tolerances.eigen_cluster)
-    eigs = [z for p in info.points for z in [p.z] * p.m]
     report = {
         "dim": int(matrix.shape[0]),
         "eigenvalues": [
@@ -150,7 +149,7 @@ def _cmd_analyze(args, cfg: RunConfig) -> int:
         "dominant": [_complex_dict(p.z) for p in info.dominant],
         "hyperbolic": is_hyperbolic(matrix, cfg.tolerances.hyperbolicity),
         "algebraic_shortcut_nonresonant": is_exp_nonresonant_algebraic(
-            eigs, cfg.tolerances.hyperbolicity
+            info.eigenvalues, cfg.tolerances.hyperbolicity
         ),
         "notes": list(info.notes),
     }
@@ -204,10 +203,9 @@ def _parse_synthetic(text: str) -> Synthetic:
 
 
 def _cmd_benford(args, cfg: RunConfig) -> int:
-    thresholds = cfg.thresholds
     if args.signal_csv:
         _, values = load_signal_csv(args.signal_csv)
-        report = benford_report_from_samples(values, cfg.base, thresholds, cfg.weyl_k)
+        report = benford_report_from_samples(values, config=cfg)
     else:
         if args.synthetic:
             spec = _parse_synthetic(args.synthetic)
@@ -218,8 +216,7 @@ def _cmd_benford(args, cfg: RunConfig) -> int:
                 spec = ObservableOnFlow(matrix, Observable(obs_matrix))
             else:
                 spec = NormOnFlow(matrix, args.norm or "spectral")
-        grid = SamplingGrid(T=cfg.horizon, step=cfg.step)
-        report = benford_verdict(spec, cfg.base, grid, thresholds, cfg.weyl_k)
+        report = benford_verdict(spec, config=cfg)
     if args.digits_csv and report.digit_histogram is not None:
         write_digit_csv(args.digits_csv, report.digit_histogram, digit_law_pmf(report.base))
     if args.ecdf_csv and report.ecdf_quantiles:

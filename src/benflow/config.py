@@ -11,6 +11,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import UsageError
+from .udmod1 import SamplingGrid
 
 
 @dataclass(frozen=True)
@@ -42,6 +43,12 @@ class Tolerances:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """Every setting of a run: the one place verdict defaults live.
+
+    The verdict entry points read the base, the sampling grid, the
+    thresholds and the number of Weyl frequencies from here.
+    """
+
     base: int = 10
     horizon: float = 1e4
     step: float = 1e-2
@@ -60,6 +67,11 @@ class RunConfig:
             raise UsageError("weyl_k must be >= 1")
         if self.output_format not in ("json", "csv"):
             raise UsageError(f"unknown output format {self.output_format!r}")
+
+    @property
+    def grid(self) -> SamplingGrid:
+        """The uniform grid (0, horizon] at the configured step."""
+        return SamplingGrid(T=self.horizon, step=self.step)
 
 
 def load_config(path: str | Path, base: RunConfig | None = None) -> RunConfig:

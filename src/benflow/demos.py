@@ -10,7 +10,7 @@ define the scenario are fixed here rather than read from the config.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable
 
@@ -38,17 +38,6 @@ from .matrixcore import companion_from_second_order, planar_criterion, spectrum
 from .resonance import is_exp_b_nonresonant, is_exp_nonresonant_algebraic
 from .significand import digit_frequencies, digit_law_pmf
 from .udmod1 import SamplingGrid, pushforward_fourier
-
-EXAMPLE_IDS = (
-    "ex-2a",
-    "ex-3-4-i",
-    "ex-3-4-ii",
-    "ex-3-5",
-    "ex-3-8",
-    "ex-3-9",
-    "ex-3-12",
-    "ex-3-14",
-)
 
 _LN10 = math.log(10)
 
@@ -158,13 +147,7 @@ def _run_ex_3_4_i(config: RunConfig) -> DemoResult:
     b = config.base
     nonzero = is_exp_b_nonresonant(scalar_set(1, b), b)
     zero = is_exp_b_nonresonant(scalar_set(0, b), b)
-    report = benford_verdict(
-        Synthetic(r=1.0, k=0, modes=((0.0, 1.0),)),
-        b,
-        SamplingGrid(T=config.horizon, step=config.step),
-        config.thresholds,
-        config.weyl_k,
-    )
+    report = benford_verdict(Synthetic(r=1.0, k=0, modes=((0.0, 1.0),)), config=config)
     ok = (not nonzero.resonant) and zero.resonant and report.verdict == VERDICT_PASS
     return DemoResult(
         "ex-3-4-i",
@@ -184,13 +167,7 @@ def _run_ex_3_4_ii(config: RunConfig) -> DemoResult:
     irrational_ratio = is_exp_b_nonresonant(rotation_set_pi(1, b), b)
     rational_ratio = is_exp_b_nonresonant(resonant_spiral_set(b), b)
     gen = np.array([[1.0, -math.pi], [math.pi, 1.0]])
-    report = benford_verdict(
-        ObservableOnFlow(gen, Observable.entry(0, 0, 2)),
-        b,
-        SamplingGrid(T=config.horizon, step=config.step),
-        config.thresholds,
-        config.weyl_k,
-    )
+    report = benford_verdict(ObservableOnFlow(gen, Observable.entry(0, 0, 2)), config=config)
     ok = (
         not irrational_ratio.resonant
         and rational_ratio.resonant
@@ -230,13 +207,16 @@ def _run_ex_3_5(config: RunConfig) -> DemoResult:
     closed = frobenius_norm_signal_3x3_example(ts)
     direct = np.array([eval_signal(NormOnFlow(gen, "frobenius"), t) for t in ts])
     closed_form_err = float(np.max(np.abs(closed - direct) / closed))
-    grid = SamplingGrid(T=config.horizon, step=config.step)
-    norm_logb, cubic_logb = ex_3_5_log_fixtures(grid.times(), config.base)
+    # the cubic composite is a base-10 counterexample, built and judged in base 10
+    times = config.grid.times()
+    norm_logb, cubic_logb = ex_3_5_log_fixtures(times, config.base)
+    if config.base != 10:
+        cubic_logb = ex_3_5_log_fixtures(times, 10)[1]
     norm_report = benford_report_from_log_samples(
-        norm_logb, config.base, config.thresholds, config.weyl_k, horizon=grid.T, step=grid.step
+        norm_logb, config=config, horizon=config.horizon, step=config.step
     )
     cubic_report = benford_report_from_log_samples(
-        cubic_logb, 10, config.thresholds, config.weyl_k, horizon=grid.T, step=grid.step
+        cubic_logb, config=replace(config, base=10), horizon=config.horizon, step=config.step
     )
     ok = (
         exact_ok
@@ -284,21 +264,16 @@ def _run_ex_3_9(config: RunConfig) -> DemoResult:
     """Rank-one 2d flow: one adversarial observable gives a constant
     signal, one gives the zero signal, random observables conform."""
     a = np.array([[1.0, 1.0], [1.0, 1.0]])
-    grid = SamplingGrid(T=config.horizon, step=config.step)
     constant_obs = Observable(np.array([[1.0, -1.0], [0.0, 0.0]]))  # H(A) = 0, H(I) = 1
     zero_obs = Observable(np.array([[1.0, 2.0], [-2.0, -1.0]]))  # H(A) = 0 = H(I)
     constant_values = [eval_signal(ObservableOnFlow(a, constant_obs), t) for t in (0.0, 1.0, 3.7)]
-    constant_report = benford_verdict(
-        ObservableOnFlow(a, constant_obs), config.base, grid, config.thresholds, config.weyl_k
-    )
-    zero_report = benford_verdict(
-        ObservableOnFlow(a, zero_obs), config.base, grid, config.thresholds, config.weyl_k
-    )
+    constant_report = benford_verdict(ObservableOnFlow(a, constant_obs), config=config)
+    zero_report = benford_verdict(ObservableOnFlow(a, zero_obs), config=config)
     rng = np.random.Generator(np.random.Philox(key=config.seed, counter=[0, 0, 0, 1]))
     n_random, passes = 20, 0
     for _ in range(n_random):
         obs = Observable(rng.standard_normal((2, 2)))
-        report = benford_verdict(ObservableOnFlow(a, obs), config.base, grid, config.thresholds, config.weyl_k)
+        report = benford_verdict(ObservableOnFlow(a, obs), config=config)
         passes += report.verdict == VERDICT_PASS
     ok = (
         max(abs(v - 1.0) for v in constant_values) < 1e-9
@@ -370,15 +345,15 @@ def _run_ex_3_14(config: RunConfig) -> DemoResult:
             / psi_norm_closed_form(ts)
         )
     )
-    grid = SamplingGrid(T=config.horizon, step=config.step)
-    phi_report = benford_verdict(NormOnFlow(phi, "spectral"), 10, grid, config.thresholds, config.weyl_k)
-    psi_report = benford_verdict(NormOnFlow(psi, "spectral"), 10, grid, config.thresholds, config.weyl_k)
+    ten = replace(config, base=10)
+    phi_report = benford_verdict(NormOnFlow(phi, "spectral"), config=ten)
+    psi_report = benford_verdict(NormOnFlow(psi, "spectral"), config=ten)
     # pushforward oracle of the norm map: odd coefficients vanish by the
     # half-period symmetry e^{(ln10/2)A} = -sqrt(10) I; k = 2 carries the mass
     oracle_k1 = abs(pushforward_fourier(psi_norm_map, 1, 400_000))
     oracle_k2 = abs(pushforward_fourier(psi_norm_map, 2, 400_000))
     measured_k2 = psi_report.weyl.magnitudes.get(2) if psi_report.weyl else None
-    floor = psi_report.weyl.noise_floor(config.thresholds.weyl_multiplier) if psi_report.weyl else None
+    floor = psi_report.weyl.noise_floor(psi_report.thresholds.weyl_multiplier) if psi_report.weyl else None
     ok = (
         exact.resonant
         and exact.witness is not None
@@ -427,6 +402,7 @@ _REGISTRY: dict[str, Callable[[RunConfig], DemoResult]] = {
     "ex-3-12": _run_ex_3_12,
     "ex-3-14": _run_ex_3_14,
 }
+EXAMPLE_IDS = tuple(_REGISTRY)
 
 
 def run_example(example_id: str, config: RunConfig | None = None) -> DemoResult:

@@ -6,7 +6,9 @@ Verdicts sample log_b|f| over a uniform grid (never |f| itself, which
 overflows long before interesting horizons), exclude near-zero
 samples, and judge the sorted fractional parts of the kept logs: their
 KS distance from uniform (the significand sup-distance) and their Weyl
-magnitudes, under the configured thresholds.
+magnitudes.  Every verdict setting (base, grid, thresholds, number of
+Weyl frequencies) comes from one RunConfig; the entry points take it
+as the keyword `config`.
 
 Sampling works with the shifted flow: with r the spectral abscissa,
 e^{tA} e^{-rt} = e^{t(A - rI)} stays bounded, so log|f| = r t +
@@ -31,12 +33,12 @@ block bases against them, truncated at the first non-finite propagator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .config import VerdictThresholds
+from .config import RunConfig, VerdictThresholds
 from .errors import DomainError, UnsupportedStructureError, UsageError
 from .matrixcore import as_square_matrix, expm, spectrum
 from .significand import DigitHistogram, digit_counts, fractions_of_logs, log_fractions, uniform_distance, validate_base
@@ -477,7 +479,7 @@ class BenfordReport:
             raise UsageError("trivial verdicts carry no statistics")
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "base": self.base,
             "horizon": self.horizon,
             "step": self.step,
@@ -489,15 +491,9 @@ class BenfordReport:
             "weyl_magnitudes": {str(k): v for k, v in sorted(self.weyl.magnitudes.items())} if self.weyl else None,
             "excluded_sample_count": self.excluded_sample_count,
             "sample_count": self.sample_count,
-            "thresholds": {
-                "distance": self.thresholds.distance,
-                "weyl_multiplier": self.thresholds.weyl_multiplier,
-                "fail_factor": self.thresholds.fail_factor,
-                "zero_rel": self.thresholds.zero_rel,
-            },
+            "thresholds": asdict(self.thresholds),
             "truncated_at": self.truncated_at,
         }
-        return out
 
 
 def _verdict_from_logb(
@@ -505,15 +501,16 @@ def _verdict_from_logb(
     b: int,
     horizon: float,
     step: float,
-    thresholds: VerdictThresholds,
-    K: int,
+    config: RunConfig,
     truncated_at: float | None,
     raw: np.ndarray | None = None,
 ) -> BenfordReport:
     """Exclude exact zeros and samples below zero_rel times the running
-    max of |f|, then judge the sorted fractions of the kept log_b|f|.
+    max of |f|, then judge the sorted fractions of the kept log_b|f|
+    under config's thresholds and number of Weyl frequencies.
     When the raw values behind `logb` are given, the fractions come
     from them, so values on a digit edge land in that digit."""
+    thresholds = config.thresholds
     total = logb.size
     finite = np.isfinite(logb)
     guarded = np.where(finite, logb, -np.inf)
@@ -531,7 +528,7 @@ def _verdict_from_logb(
         )
     u = fractions_of_logs(logb[keep]) if raw is None else log_fractions(raw[keep], b)
     distance = uniform_distance(u)
-    weyl = cud_report(u, K)
+    weyl = cud_report(u, config.weyl_k)
     stride = max(1, u.size // 512)
     sig = np.minimum(np.power(float(b), u[stride - 1 :: stride]), math.nextafter(float(b), 1.0))
     floor = weyl.noise_floor(thresholds.weyl_multiplier)
@@ -554,31 +551,27 @@ def _verdict_from_logb(
 
 
 def benford_verdict(
-    spec: SignalSpec,
-    b: int = 10,
-    grid: SamplingGrid | None = None,
-    thresholds: VerdictThresholds | None = None,
-    K: int = 5,
+    spec: SignalSpec, b: int | None = None, grid: SamplingGrid | None = None, *, config: RunConfig | None = None
 ) -> BenfordReport:
-    """Sample the signal on the grid and judge its conformance."""
-    b = validate_base(b)
-    grid = grid or SamplingGrid(T=1e4, step=1e-2)
-    thresholds = thresholds or VerdictThresholds()
+    """Sample the signal on the grid and judge its conformance.
+
+    Every setting comes from `config` (default RunConfig()); a base b
+    or a grid given here takes the place of config's.
+    """
+    config = config or RunConfig()
+    b = validate_base(config.base if b is None else b)
+    grid = config.grid if grid is None else grid
     sample = sample_log_signal(spec, grid, b)
-    return _verdict_from_logb(
-        sample.values, b, grid.T, grid.step, thresholds, K, sample.truncated_at
-    )
+    return _verdict_from_logb(sample.values, b, grid.T, grid.step, config, sample.truncated_at)
 
 
 def benford_report_from_samples(
-    values: Sequence[float] | np.ndarray,
-    b: int = 10,
-    thresholds: VerdictThresholds | None = None,
-    K: int = 5,
+    values: Sequence[float] | np.ndarray, b: int | None = None, *, config: RunConfig | None = None
 ) -> BenfordReport:
-    """Verdict for externally supplied signal values (e.g. CSV data)."""
-    b = validate_base(b)
-    thresholds = thresholds or VerdictThresholds()
+    """Verdict for externally supplied signal values (e.g. CSV data),
+    under `config` (default RunConfig()); b, if given, overrides its base."""
+    config = config or RunConfig()
+    b = validate_base(config.base if b is None else b)
     arr = np.asarray(values, dtype=float)
     if arr.size < 100:
         raise UsageError("need at least 100 samples for a verdict")
@@ -586,30 +579,32 @@ def benford_report_from_samples(
         raise DomainError("signal values must be finite")
     with np.errstate(divide="ignore"):
         logb = np.log(np.abs(arr)) / math.log(b)
-    return _verdict_from_logb(logb, b, float(arr.size), 1.0, thresholds, K, None, arr)
+    return _verdict_from_logb(logb, b, float(arr.size), 1.0, config, None, arr)
 
 
 def benford_report_from_log_samples(
     logb_values: Sequence[float] | np.ndarray,
-    b: int = 10,
-    thresholds: VerdictThresholds | None = None,
-    K: int = 5,
+    b: int | None = None,
     *,
+    config: RunConfig | None = None,
     horizon: float | None = None,
     step: float | None = None,
 ) -> BenfordReport:
     """Verdict for a signal supplied directly as log_b|f| samples.
 
     The entry point for closed-form fixtures whose raw values overflow;
-    -inf entries mark exact zeros.
+    -inf entries mark exact zeros.  Settings come from `config`
+    (default RunConfig()); b, if given, overrides its base.  horizon
+    and step only label the report: they default to the sample count
+    and 1.
     """
-    b = validate_base(b)
-    thresholds = thresholds or VerdictThresholds()
+    config = config or RunConfig()
+    b = validate_base(config.base if b is None else b)
     arr = np.asarray(logb_values, dtype=float)
     if arr.size < 100:
         raise UsageError("need at least 100 samples for a verdict")
     if np.any(np.isnan(arr)) or np.any(arr == np.inf):
         raise DomainError("log samples must be finite or -inf")
     return _verdict_from_logb(
-        arr, b, horizon if horizon is not None else float(arr.size), step or 1.0, thresholds, K, None
+        arr, b, horizon if horizon is not None else float(arr.size), step or 1.0, config, None
     )

@@ -78,17 +78,18 @@ def sample_generator(spec: EnsembleSpec, index: int) -> np.ndarray:
     return rng.integers(-m, m + 1, size=shape).astype(float)
 
 
+def _has_close_pair(eigs: np.ndarray, tol: float) -> bool:
+    """True when two of the eigenvalues are within tol of each other."""
+    gaps = np.abs(eigs[:, None] - eigs[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    return bool(gaps.min() <= tol)
+
+
 def discriminant_proxy(a: np.ndarray, tol: float = 1e-8) -> bool:
     """True when two computed eigenvalues are within tol of each other."""
     if tol <= 0:
         raise UsageError("tolerance must be positive")
-    a = as_square_matrix(a)
-    if a.shape[0] == 1:
-        return False
-    eigs = np.linalg.eigvals(a)
-    gaps = np.abs(eigs[:, None] - eigs[None, :])
-    np.fill_diagonal(gaps, np.inf)
-    return bool(gaps.min() <= tol)
+    return _has_close_pair(np.linalg.eigvals(as_square_matrix(a)), tol)
 
 
 @dataclass(frozen=True)
@@ -152,11 +153,8 @@ def resonance_census(
         eigs = np.linalg.eigvals(a)
         if np.abs(eigs.real).min() <= tol:
             axis_hits += 1
-        if spec.d > 1:
-            gaps = np.abs(eigs[:, None] - eigs[None, :])
-            np.fill_diagonal(gaps, np.inf)
-            if gaps.min() <= tol:
-                multiple_hits += 1
+        if _has_close_pair(eigs, tol):
+            multiple_hits += 1
         if numeric_relation_scan(eigs.tolist(), b, height) is not None:
             relation_hits += 1
     return CensusReport(

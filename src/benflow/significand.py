@@ -128,9 +128,9 @@ def log_fractions(values: np.ndarray, b: int) -> np.ndarray:
 
     |x| = S b^k is scaled to S with one rounding (exact while
     b^|k| < 2^53), then u = log(S) / ln b, which is bit-equal to the
-    edge in `digit_counts` when S = d.  Where b^|k| overflows (subnormal
-    |x|, or |x| near the float maximum) u is frac(log|x| / ln b), good
-    to about 1e-13.
+    edge in `digit_counts` when S = d.  The few entries where b^(|k|+1)
+    overflows (subnormal |x|, or |x| near the float maximum) take S
+    from the exact scalar `significand` instead.
     """
     a = np.abs(np.asarray(values, dtype=float))
     if a.size and not np.all(np.isfinite(a)):
@@ -144,12 +144,13 @@ def log_fractions(values: np.ndarray, b: int) -> np.ndarray:
     def scaled(k: np.ndarray) -> np.ndarray:
         return np.where(k >= 0, a / powers[np.maximum(k, 0)], a * powers[np.maximum(-k, 0)])
 
+    huge = powers[np.abs(k) + 1] == np.inf  # b^|k| may overflow once k is corrected
     s = scaled(k)
     k += (s >= b).astype(np.int64) - (s < 1.0)  # the log guess is off by at most one
-    u = np.log(scaled(k)) / lnb
-    huge = (s == 0.0) | (s == np.inf) | ~np.isfinite(u)
+    s = scaled(k)
+    s[huge] = [significand(x, b) for x in a[huge]]
+    u = np.log(s) / lnb
     u[(u < 0.0) | (u >= 1.0)] = _BELOW_ONE  # |x| / b^k was just below b and rounded to b
-    u[huge] = logb[huge]
     return fractions_of_logs(u)
 
 

@@ -95,7 +95,7 @@ def weyl_sum_sequence(x: Sequence[float] | np.ndarray, k: int) -> complex:
     return complex(np.exp(2j * np.pi * k * arr).mean())
 
 
-def cud_report(samples: Sequence[float] | np.ndarray, K: int = 5) -> WeylReport:
+def cud_report(samples: Sequence[float] | np.ndarray, K: int) -> WeylReport:
     """Weyl magnitudes of the sample at frequencies 1..K."""
     if K < 1:
         raise UsageError("K must be >= 1")

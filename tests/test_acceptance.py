@@ -9,9 +9,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
-from benflow.config import RunConfig, VerdictThresholds
+from benflow.config import RunConfig
 from benflow.demos import (
     psi_norm_map,
     resonant_spiral_set,
@@ -33,7 +32,7 @@ from benflow.genericity import EnsembleSpec, resonance_census
 from benflow.matrixcore import expm, jordan_index, spectrum
 from benflow.resonance import ShellPoint, is_b_nonresonant, is_exp_b_nonresonant
 from benflow.significand import benford_cdf, digit_frequencies, digit_law_pmf, empirical_distance
-from benflow.udmod1 import SamplingGrid, cud_report, delta_sampling_check, pushforward_fourier
+from benflow.udmod1 import SamplingGrid, delta_sampling_check, pushforward_fourier
 
 LN10 = math.log(10)
 DEFAULTS = RunConfig()
@@ -67,11 +66,11 @@ def test_criterion_2_exponential_digit_bound():
 
 def test_criterion_3_spiral_norm_dichotomy():
     phi, psi = spiral_generators()
-    phi_report = benford_verdict(NormOnFlow(phi, "spectral"), 10, GRID, DEFAULTS.thresholds)
+    phi_report = benford_verdict(NormOnFlow(phi, "spectral"), 10, GRID, config=DEFAULTS)
     assert phi_report.verdict == VERDICT_PASS
     assert phi_report.significand_distance < 0.02
 
-    psi_report = benford_verdict(NormOnFlow(psi, "spectral"), 10, GRID, DEFAULTS.thresholds)
+    psi_report = benford_verdict(NormOnFlow(psi, "spectral"), 10, GRID, config=DEFAULTS)
     assert psi_report.verdict == VERDICT_FAIL
 
     # fine-grid pushforward oracle of the norm map fixes the expected
@@ -230,9 +229,7 @@ def test_criterion_10_almost_every_observable_contrast():
         hits = 0
         for _ in range(n):
             obs = Observable(rng.standard_normal(gen.shape))
-            report = benford_verdict(
-                ObservableOnFlow(gen, obs), 10, GRID, DEFAULTS.thresholds, DEFAULTS.weyl_k
-            )
+            report = benford_verdict(ObservableOnFlow(gen, obs), 10, GRID, config=DEFAULTS)
             hits += report.verdict == verdict_wanted
         return hits
 

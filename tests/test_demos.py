@@ -26,3 +26,14 @@ def test_result_dict_shape():
     assert data["id"] == "ex-3-8"
     assert data["passed"] is True
     assert isinstance(data["details"], dict)
+
+
+def test_ex_3_5_cubic_judged_in_base_10_whatever_the_base():
+    # the cubic composite is a base-10 counterexample: --base moves only the norm check
+    base10 = run_example("ex-3-5", RunConfig())
+    base2 = run_example("ex-3-5", RunConfig(base=2))
+    assert base2.passed, base2.details
+    assert base2.details["cubic_composite_verdict"] == base10.details["cubic_composite_verdict"] == "FAIL"
+    assert base2.details["cubic_max_weyl"] == base10.details["cubic_max_weyl"]
+    assert abs(base10.details["cubic_max_weyl"] - 0.27) < 0.01
+

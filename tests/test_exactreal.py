@@ -6,7 +6,6 @@ import pytest
 from benflow.errors import MixedBasisError, UsageError
 from benflow.exactreal import (
     ExactComplex,
-    ExactReal,
     Monomial,
     ONE,
     PI,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from benflow.config import VerdictThresholds
+from benflow.config import RunConfig, VerdictThresholds
 from benflow.dataio import load_signal_csv
 from benflow.demos import psi_norm_closed_form, spiral_generators
 from benflow.errors import DomainError, UnsupportedStructureError, UsageError
@@ -234,7 +234,7 @@ class TestVerdicts:
         logb = np.tile(np.linspace(0.0, 1.0, 1000, endpoint=False), 10)
         tweaked = np.concatenate([logb, np.full(600, 0.5)])
         thresholds = VerdictThresholds(distance=0.02, fail_factor=3.0)
-        report = benford_report_from_log_samples(tweaked, 10, thresholds)
+        report = benford_report_from_log_samples(tweaked, 10, config=RunConfig(thresholds=thresholds))
         assert thresholds.distance < report.significand_distance < 3 * thresholds.distance
         assert report.verdict == VERDICT_FAIL
         assert report.inconclusive
@@ -332,3 +332,49 @@ class TestExternalSamples:
     def test_too_few_samples_rejected(self):
         with pytest.raises(UsageError):
             benford_report_from_samples(np.ones(10), 10)
+
+
+class TestRunConfig:
+    """Every verdict setting comes from one RunConfig."""
+
+    SPEC = Synthetic(r=1.0, k=0, modes=((1.0, 1.0), (3.0, 0.5)))
+    SMALL = RunConfig(base=3, horizon=200.0, step=0.05, weyl_k=3, thresholds=VerdictThresholds(distance=0.05))
+
+    def test_grid_property(self):
+        assert RunConfig(horizon=50.0, step=0.5).grid == SamplingGrid(T=50.0, step=0.5)
+        assert RunConfig().grid == GRID
+
+    def test_config_supplies_every_setting(self):
+        report = benford_verdict(self.SPEC, config=self.SMALL)
+        explicit = benford_verdict(self.SPEC, 3, self.SMALL.grid, config=self.SMALL)
+        assert report.to_dict() == explicit.to_dict()
+        assert (report.base, report.horizon, report.step) == (3, 200.0, 0.05)
+        assert report.sample_count == self.SMALL.grid.count
+        assert report.weyl.K == 3
+        assert report.thresholds == self.SMALL.thresholds
+
+    def test_positional_base_and_grid_override_config(self):
+        grid = SamplingGrid(T=100.0, step=0.1)
+        report = benford_verdict(self.SPEC, 10, grid, config=self.SMALL)
+        assert (report.base, report.horizon, report.sample_count) == (10, 100.0, grid.count)
+        assert report.weyl.K == 3
+
+    def test_sample_entry_points_read_config(self):
+        values = np.exp(np.arange(1, 2001) * 0.01)
+        for report in (
+            benford_report_from_samples(values, config=self.SMALL),
+            benford_report_from_log_samples(np.log(values) / math.log(3), config=self.SMALL),
+        ):
+            assert report.base == 3
+            assert report.weyl.K == 3
+            assert report.thresholds == self.SMALL.thresholds
+        assert benford_report_from_samples(values, 10, config=self.SMALL).base == 10
+
+    def test_thresholds_keys_in_order(self):
+        report = benford_verdict(self.SPEC, config=self.SMALL)
+        assert list(report.to_dict()["thresholds"].items()) == [
+            ("distance", 0.05),
+            ("weyl_multiplier", 3.0),
+            ("fail_factor", 2.0),
+            ("zero_rel", 1e-13),
+        ]

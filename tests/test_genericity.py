@@ -1,12 +1,10 @@
 import json
-import math
 
 import numpy as np
 import pytest
 
 from benflow.errors import UsageError
 from benflow.genericity import (
-    CensusReport,
     EnsembleSpec,
     discriminant_proxy,
     resonance_census,
@@ -167,6 +165,12 @@ class TestCensus:
         }
         assert data["rng_algorithm"] == "philox4x64"
         assert data["n"] == 10
+
+    def test_multiple_hits_match_discriminant_proxy(self):
+        spec = EnsembleSpec(d=3, distribution="int2", N=300, seed=5)
+        report = resonance_census(spec, 10, 1e-8, 4)
+        expected = sum(discriminant_proxy(sample_generator(spec, i), 1e-8) for i in range(spec.N))
+        assert report.multiple_eigenvalue_hits == expected > 0
 
     def test_bad_parameters(self):
         spec = EnsembleSpec(d=2, distribution="gaussian", N=5, seed=0)

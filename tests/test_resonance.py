@@ -5,10 +5,9 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from benflow.errors import RepresentationError, UsageError
+from benflow.errors import UsageError
 from benflow.exactreal import ExactComplex, Monomial, PI, SymbolBasis, exact_log_base
 from benflow.resonance import (
-    IntegerRelation,
     ShellPoint,
     argument_difference_set,
     is_b_nonresonant,

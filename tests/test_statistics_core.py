@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from benflow.config import VerdictThresholds
+from benflow.config import RunConfig
 from benflow.demos import ex_3_5_log_fixtures
 from benflow.flowsignal import (
     Observable,
@@ -26,8 +26,7 @@ from benflow.significand import digit_frequencies, empirical_distance, first_dig
 from benflow.udmod1 import SamplingGrid
 from test_sampler_paths import CASES
 
-THRESHOLDS = VerdictThresholds()
-K = 5
+CONFIG = RunConfig()
 EDGE_BAND = 1e-12
 
 
@@ -78,7 +77,7 @@ LONG = SamplingGrid(T=300.0, step=0.01)  # 30,000 samples
 
 @pytest.mark.parametrize("label, spec", [(c[0], c[1]) for c in CASES], ids=[c[0] for c in CASES])
 def test_sampler_signals_match_significand_route(label, spec):
-    report = benford_verdict(spec, 10, LONG, THRESHOLDS, K)
+    report = benford_verdict(spec, 10, LONG, config=CONFIG)
     assert_matches_route(report, sample_log_signal(spec, LONG, 10).values)
 
 
@@ -86,7 +85,7 @@ def test_sampler_signals_match_significand_route(label, spec):
 def test_ex_3_5_log_fixtures_match_significand_route(b):
     grid = SamplingGrid(T=1e4, step=1e-2)
     for logb in ex_3_5_log_fixtures(grid.times(), b):
-        report = benford_report_from_log_samples(logb, b, THRESHOLDS, K, horizon=grid.T, step=grid.step)
+        report = benford_report_from_log_samples(logb, b, config=CONFIG, horizon=grid.T, step=grid.step)
         assert_matches_route(report, logb)
 
 
@@ -98,7 +97,7 @@ def test_constant_signal_tiny_negative_logs():
     logb = sample_log_signal(spec, grid, 10).values
     assert np.any(logb - np.floor(logb) == 1.0)
     assert fractions_of_logs(logb).max() < 1.0
-    report = benford_verdict(spec, 10, grid, THRESHOLDS, K)
+    report = benford_verdict(spec, 10, grid, config=CONFIG)
     assert_matches_route(report, logb)
     assert max(report.ecdf_quantiles) < 10.0
     tiny_negative = int(np.count_nonzero(logb < 0))
@@ -144,7 +143,34 @@ def test_raw_values_on_digit_edges_follow_first_digit(b):
     assert abs(empirical_distance(values, b) - edge_distance(digits, b)) <= 1e-12
     # the CSV entry point needs 100 samples; ascending |x| excludes none
     repeat = -(-100 // len(values))
-    report = benford_report_from_samples(np.repeat(values, repeat), b, THRESHOLDS, K)
+    report = benford_report_from_samples(np.repeat(values, repeat), b, config=CONFIG)
     assert report.excluded_sample_count == 0
     assert report.digit_histogram.counts == {d: c * repeat for d, c in expected.items()}
     assert abs(report.significand_distance - edge_distance(digits, b)) <= 1e-12
+
+
+def extreme_values(b: int) -> list[float]:
+    """Random subnormal and near-maximum floats, where b^|k| overflows, plus
+    the digit edges d * 2^e there for b a power of 2 (exact floats)."""
+    rng = np.random.default_rng(b)
+    tiny = np.ldexp(rng.uniform(0.5, 1.0, 400), rng.integers(-1074, -1021, 400))
+    huge = np.ldexp(rng.uniform(0.5, 1.0, 400), rng.integers(1000, 1025, 400))
+    out = [*tiny[tiny > 0.0], *huge, 1.5e-323, 5e-324, 2.2250738585072014e-308, np.finfo(float).max]
+    if b in (2, 16):
+        for d in range(1, b):
+            out += [math.ldexp(d, e) for e in range(-1074, -1018, b.bit_length() - 1)]
+            out += [math.ldexp(d, e) for e in range(1000, 1021, b.bit_length() - 1)]
+    return out
+
+
+@pytest.mark.parametrize("b", [2, 3, 7, 10, 16])
+def test_values_where_powers_overflow_follow_first_digit(b):
+    # in base 16 the frac(log) fallback put 1.5e-323 (12 * 16^-268) in digit 11
+    # and the float maximum (15.99.. * 16^255) in digit 1
+    values = extreme_values(b)
+    digits = [first_digit(x, b) for x in values]
+    expected = {d: digits.count(d) for d in range(1, b) if digits.count(d)}
+    assert digit_frequencies(values, b).counts == expected
+    if b == 16:
+        assert digit_frequencies([1.5e-323], 16).counts == {12: 1}
+        assert digit_frequencies([np.finfo(float).max], 16).counts == {15: 1}

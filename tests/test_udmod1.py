@@ -10,7 +10,6 @@ from benflow.errors import UsageError
 from benflow.udmod1 import (
     SamplingGrid,
     TorusMapSpec,
-    WeylReport,
     cud_report,
     delta_sampling_check,
     pushforward_fourier,
