@@ -4,11 +4,13 @@ A signal is one of: a linear observable applied to e^{tA}, a matrix
 norm of e^{tA}, or a synthetic mode sum e^{rt} t^k sum_j u_j cos(w_j t).
 Verdicts sample log_b|f| over a uniform grid (never |f| itself, which
 overflows long before interesting horizons), exclude near-zero
-samples, and judge the sorted fractional parts of the kept logs: their
-KS distance from uniform (the significand sup-distance) and their Weyl
-magnitudes.  Every verdict setting (base, grid, thresholds, number of
-Weyl frequencies) comes from one RunConfig; the entry points take it
-as the keyword `config`.
+samples, and judge the fractional parts u of the kept logs, sorted
+once: their KS distance from uniform (the significand sup-distance),
+their digit counts and their Weyl magnitudes, which come from power
+sums of the offsets of u within 4096 cells (`udmod1.sorted_weyl_sums`),
+not from one complex exponential per sample.  Every verdict setting
+(base, grid, thresholds, number of Weyl frequencies) comes from one
+RunConfig; the entry points take it as the keyword `config`.
 
 Sampling works with the shifted flow: with r the spectral abscissa,
 e^{tA} e^{-rt} = e^{t(A - rI)} stays bounded, so log|f| = r t +
@@ -42,7 +44,7 @@ from .config import RunConfig, VerdictThresholds
 from .errors import DomainError, UnsupportedStructureError, UsageError
 from .matrixcore import as_square_matrix, expm, spectrum
 from .significand import DigitHistogram, digit_counts, fractions_of_logs, log_fractions, uniform_distance, validate_base
-from .udmod1 import SamplingGrid, WeylReport, cud_report
+from .udmod1 import SamplingGrid, WeylReport
 
 _EIG_COND_LIMIT = 1e8
 _CHUNK = 200_000
@@ -528,7 +530,7 @@ def _verdict_from_logb(
         )
     u = fractions_of_logs(logb[keep]) if raw is None else log_fractions(raw[keep], b)
     distance = uniform_distance(u)
-    weyl = cud_report(u, config.weyl_k)
+    weyl = WeylReport.from_sorted(u, config.weyl_k)
     stride = max(1, u.size // 512)
     sig = np.minimum(np.power(float(b), u[stride - 1 :: stride]), math.nextafter(float(b), 1.0))
     floor = weyl.noise_floor(thresholds.weyl_multiplier)

@@ -13,9 +13,9 @@ whenever the scaled input is exactly representable.
 Sample statistics never form significands: S <= s exactly when the
 fractional part u of log_b|x| is at most log_b s, so the KS distance
 (`uniform_distance`), the digit counts (`digit_counts`) and the Weyl
-sums (`udmod1.cud_report`) are all read off one sorted array of u,
-made from log samples (`fractions_of_logs`) or raw values
-(`log_fractions`).
+sums (`udmod1.WeylReport.from_sorted`, from power sums over cells of
+u) are all read off one sorted array of u, made and sorted once from
+log samples (`fractions_of_logs`) or raw values (`log_fractions`).
 """
 from __future__ import annotations
 

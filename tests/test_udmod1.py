@@ -1,18 +1,23 @@
 import cmath
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from benflow.errors import UsageError
+from benflow.errors import DomainError, UsageError
+from benflow.significand import fractions_of_logs
 from benflow.udmod1 import (
     SamplingGrid,
     TorusMapSpec,
+    _kernel_shape,
     cud_report,
     delta_sampling_check,
     pushforward_fourier,
+    sorted_weyl_sums,
     torus_map_apply,
     weyl_sum_sequence,
 )
@@ -164,6 +169,70 @@ class TestCudReport:
             m0 = abs(weyl_sum_sequence(base + 0.123, k))
             m1 = abs(weyl_sum_sequence(base + 0.123 + decay, k))
             assert abs(m1 - m0) <= 2 * math.pi * k * np.mean(np.abs(decay)) + 1e-12
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        samples = np.linspace(0.0, 3.0, 200)
+        samples[17] = bad
+        with pytest.raises(DomainError):
+            cud_report(samples, 3)
+        with pytest.raises(DomainError):
+            weyl_sum_sequence([0.1, bad], 1)
+
+
+_RNG = np.random.default_rng(2024)
+_CELL = 1.0 / 4096
+# inputs that stress the cell-moment kernel; raw samples, not yet reduced mod 1
+KERNEL_CASES = {
+    "uniform": _RNG.random(1500),
+    "one_cell": 0.3 + _CELL * 0.999 * _RNG.random(400),
+    "cell_edges": _RNG.integers(0, 4096, 600) * _CELL,
+    "largest_below_one": np.concatenate([np.full(150, math.nextafter(1.0, 0.0)), _RNG.random(50)]),
+    "trailing_cells_empty": 0.1 * _RNG.random(2000),
+    "n_100": _RNG.random(100),
+    "raw_unsorted_far_outside": _RNG.normal(0.0, 1e5, 400),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def mpmath_weyl_average(case: str, k: int) -> complex:
+    """(1/n) sum exp(2 pi i k x_n) over the exact float samples, at 40 digits."""
+    with mpmath.workdps(40):
+        xs = [mpmath.mpf(float(x)) for x in KERNEL_CASES[case]]
+        return complex(mpmath.fsum(mpmath.expjpi(2 * k * x) for x in xs) / len(xs))
+
+
+class TestWeylKernel:
+    """The cell-moment kernel against 40-digit sums of the raw samples."""
+
+    @pytest.mark.parametrize("K", [1, 5, 64, 512])
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_matches_mpmath(self, case, K):
+        x = KERNEL_CASES[case]
+        sums = sorted_weyl_sums(fractions_of_logs(x), K)
+        report = cud_report(x, K)
+        assert sums.shape == (K,) and report.K == K and report.count == x.size
+        for k in sorted({1, 2, 3, K // 2, K - 1, K} & set(range(1, K + 1))):
+            exact = mpmath_weyl_average(case, k)
+            assert abs(sums[k - 1] - exact) <= 1e-14
+            assert abs(report.magnitudes[k] - abs(exact)) <= 1e-14
+
+    def test_large_K_doubles_the_cells(self):
+        # K > 512 doubles the cells, so 2 pi K / M stays at most pi / 4
+        x = KERNEL_CASES["n_100"]
+        sums = sorted_weyl_sums(fractions_of_logs(x), 2000)
+        for k in (1, 1999, 2000):
+            assert abs(sums[k - 1] - mpmath_weyl_average("n_100", k)) <= 1e-14
+
+    @pytest.mark.parametrize("K", [1, 2, 5, 64, 511, 512, 513, 4096, 10**5])
+    def test_order_from_frequency_bound(self, K):
+        M, J = _kernel_shape(K)
+        x = 2 * math.pi * K / M
+        assert M >= 4096 and M & (M - 1) == 0 and x <= math.pi / 4
+        assert x ** (J + 1) / math.factorial(J + 1) <= 1e-17 < x**J / math.factorial(J)
+
+    def test_default_frequencies_take_4096_cells_and_order_6(self):
+        assert _kernel_shape(5) == (4096, 6)
 
 
 class TestDeltaSampling:
