@@ -36,7 +36,6 @@ class VerdictThresholds:
 class Tolerances:
     """Numerical tolerances for the linear-algebra kernels."""
 
-    rank: float = 1e-10
     eigen_cluster: float = 1e-8
     hyperbolicity: float = 1e-9
 

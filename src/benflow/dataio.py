@@ -32,7 +32,6 @@ import csv
 import json
 import math
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -150,16 +149,6 @@ def load_matrix(path: str | Path) -> tuple[np.ndarray, dict | None]:
 def _check_square(matrix: np.ndarray, path) -> None:
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise UsageError(f"{path}: matrix must be square, got shape {matrix.shape}")
-
-
-def fixture_text(name: str) -> str:
-    """Contents of a packaged annotated-matrix fixture."""
-    ref = resources.files("benflow") / "fixtures" / name
-    try:
-        return ref.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        available = sorted(p.name for p in (resources.files("benflow") / "fixtures").iterdir())
-        raise UsageError(f"no fixture {name!r}; available: {available}") from None
 
 
 def load_signal_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:

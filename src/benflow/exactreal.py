@@ -294,30 +294,17 @@ def span_membership(
     for g in gens:
         if g.basis != target.basis:
             raise MixedBasisError("all values must share one symbol basis")
-    if target.is_zero:
-        return [Fraction(0)] * len(gens)
-    if not gens:
-        return None
-    return solve_rational_system([g.coords for g in gens], target.coords)
+    return membership_over_monomials(target.as_terms(), [g.as_terms() for g in gens])
 
 
 def membership_over_monomials(
     target: Mapping[Monomial, Fraction], generators: Sequence[Mapping[Monomial, Fraction]]
 ) -> list[Fraction] | None:
-    """span_membership on sparse monomial dicts (union of supports)."""
-    axis = sorted(
-        {m for m in target} | {m for g in generators for m in g},
-        key=lambda m: m.powers,
-    )
-    if not axis:
-        return [Fraction(0)] * len(generators)
-    tvec = [Fraction(target.get(m, 0)) for m in axis]
+    """Rational coefficients writing target over the generators, if any,
+    all given as sparse monomial dicts (rows: the union of supports)."""
+    axis = sorted({*target, *(m for g in generators for m in g)})
     cols = [[Fraction(g.get(m, 0)) for m in axis] for g in generators]
-    if all(c == 0 for c in tvec):
-        return [Fraction(0)] * len(generators)
-    if not generators:
-        return None
-    return solve_rational_system(cols, tvec)
+    return solve_rational_system(cols, [Fraction(target.get(m, 0)) for m in axis])
 
 
 def mul_symbol(terms: Mapping[Monomial, Fraction], factor: Monomial) -> dict[Monomial, Fraction]:

@@ -20,12 +20,13 @@ For a diagonalizable generator the shifted flow is a sum of mode
 factors e^{(lambda - r)t}, one per conjugate pair or real eigenvalue.
 Grid times come in blocks t_0 + j*step, so a block's factors are its
 start row e^{(lambda - r)t_0} times one shared table of
-e^{(lambda - r) j step}: one complex multiply per entry, no exp.  An
-observable signal is then a real GEMV of the factors with the mode
-weights; a norm signal first builds all matrices with one GEMM against
-the rank-one mode projectors, then takes the row sum of squares
-(Frobenius), the entrywise max, a closed form (spectral, d = 2 and 3)
-or an SVD (spectral, d >= 4).
+e^{(lambda - r) j step}: one complex multiply per entry, no exp.  One
+real projector matrix P takes the factors to the entries of the shifted
+flow.  An observable c has the mode weights c.ravel() @ P, and its
+signal is one real GEMV of the factors with them; a norm signal first
+builds all matrices with one GEMM of P against the factors, then takes
+the row sum of squares (Frobenius), the entrywise max, a closed form
+(spectral, d = 2 and 3) or an SVD (spectral, d >= 4).
 
 Defective generators (eigenvector condition number from _EIG_COND_LIMIT
 on) fall back to blocked powers of S = e^{(A - rI) step}: S^1..S^m are
@@ -250,48 +251,32 @@ class _LogSample:
 
 
 class _FlowModes:
-    """Eigendecomposition of a generator, cached for repeated sampling.
+    """Eigendecomposition of a generator, in the form sampling reads.
 
-    A real generator's modes come in conjugate pairs whose contributions
-    are complex conjugates, so only the Im >= 0 representative of each
-    is kept (`mu` = lambda - r) and its coefficients are doubled.  A
-    complex coefficient array over the kept modes becomes a real one
-    interleaved as (Re, -Im) per mode, matching the layout of the mode
-    factors viewed as floats: Re(F c) = F.view(float) @ real form of c.
+    Only the Im >= 0 representative of each conjugate pair is kept
+    (`mu` = lambda - r).  For a diagonalizable generator, `proj` is the
+    real (d*d, 2m) matrix with proj @ f = the entries of e^{(A - rI)t},
+    f the float view of the mode factors at t, row i*d + k for entry
+    (i, k): the rank-one projectors v_j u_j^T (u_j^T the rows of V^-1),
+    doubled for pairs and interleaved as (Re, -Im) per mode.
     """
 
     def __init__(self, a: np.ndarray):
-        self.a = as_square_matrix(a)
-        lam, vecs = np.linalg.eig(self.a)
-        self.lam = lam
-        self.v = vecs
+        lam, vecs = np.linalg.eig(a)
         self.r = float(lam.real.max())
         try:
-            self.vinv = np.linalg.inv(vecs)
-            self.cond = float(np.linalg.cond(vecs))
+            vinv = np.linalg.inv(vecs)
+            cond = float(np.linalg.cond(vecs))
         except np.linalg.LinAlgError:
-            self.vinv = None
-            self.cond = math.inf
-        self.diagonalizable = self.cond < _EIG_COND_LIMIT
-        self.keep = lam.imag >= 0
-        self.mu = (lam[self.keep] - self.r).astype(complex)
-
-    def _real_form(self, coeffs: np.ndarray) -> np.ndarray:
-        doubled = coeffs * np.where(self.mu.imag > 0, 2.0, 1.0)
-        return np.stack([doubled.real, -doubled.imag], axis=-1).reshape(*coeffs.shape[:-1], -1)
-
-    def weights(self, c: np.ndarray) -> np.ndarray:
-        """Real weights with H(e^{(A - rI)t}) = mode factors @ weights."""
-        v, vinv = self.v[:, self.keep], self.vinv[self.keep]
-        return self._real_form(np.einsum("aj,ab,jb->j", v, c, vinv))
-
-    def projectors(self) -> np.ndarray:
-        """Real (d*d, 2m) matrix taking mode factors to the entries of
-        e^{(A - rI)t}, row i*d + k for entry (i, k): the rank-one mode
-        projectors v_j u_j^T, with u_j^T the rows of V^-1."""
-        v, vinv = self.v[:, self.keep], self.vinv[self.keep]
-        d = v.shape[0]
-        return self._real_form(np.einsum("ij,jk->ikj", v, vinv).reshape(d * d, -1))
+            cond = math.inf
+        self.diagonalizable = cond < _EIG_COND_LIMIT
+        keep = lam.imag >= 0
+        self.mu = (lam[keep] - self.r).astype(complex)
+        self.proj = None
+        if self.diagonalizable:
+            doubled = vinv[keep] * np.where(self.mu.imag > 0, 2.0, 1.0)[:, None]
+            p = np.einsum("ij,jk->ikj", vecs[:, keep], doubled)
+            self.proj = np.stack([p.real, -p.imag], axis=-1).reshape(a.size, -1)
 
 
 def _eigen_logb(modes: _FlowModes, grid: SamplingGrid, b: int, functional) -> _LogSample:
@@ -316,21 +301,21 @@ def _eigen_logb(modes: _FlowModes, grid: SamplingGrid, b: int, functional) -> _L
     return _LogSample(out)
 
 
-def _logb_observable(flow: ObservableOnFlow, grid: SamplingGrid, b: int) -> _LogSample:
+def _logb_flow(flow: ObservableOnFlow | NormOnFlow, grid: SamplingGrid, b: int) -> _LogSample:
+    """log_b|H(e^{tA})| for an observable or norm H, from one eigensolve:
+    the eigen path for a diagonalizable generator, stepping otherwise."""
     modes = _FlowModes(flow.generator)
+    if isinstance(flow, ObservableOnFlow):
+        c = flow.observable.c.ravel()
+        w = c @ modes.proj if modes.diagonalizable else None  # the mode weights
+        on_entries = lambda entries: c @ entries
+        on_factors = lambda factors: factors @ w
+    else:
+        on_entries = lambda entries: _batched_norm(entries, flow.norm)
+        on_factors = lambda factors: on_entries(modes.proj @ factors.T)
     if modes.diagonalizable:
-        w = modes.weights(flow.observable.c)
-        return _eigen_logb(modes, grid, b, lambda factors: factors @ w)
-    c = flow.observable.c.ravel()
-    return _stepping_logb(flow.generator, grid, b, lambda entries: c @ entries)
-
-
-def _logb_norm(flow: NormOnFlow, grid: SamplingGrid, b: int) -> _LogSample:
-    modes = _FlowModes(flow.generator)
-    if modes.diagonalizable:
-        proj = modes.projectors()
-        return _eigen_logb(modes, grid, b, lambda factors: _batched_norm(proj @ factors.T, flow.norm))
-    return _stepping_logb(flow.generator, grid, b, lambda entries: _batched_norm(entries, flow.norm))
+        return _eigen_logb(modes, grid, b, on_factors)
+    return _stepping_logb(flow.generator, modes.r, grid, b, on_entries)
 
 
 def _batched_norm(entries: np.ndarray, kind: str) -> np.ndarray:
@@ -380,7 +365,7 @@ def _spectral_norm_3x3(entries: np.ndarray) -> np.ndarray:
     return norm
 
 
-def _stepping_logb(a: np.ndarray, grid: SamplingGrid, b: int, functional) -> _LogSample:
+def _stepping_logb(a: np.ndarray, r: float, grid: SamplingGrid, b: int, functional) -> _LogSample:
     """Fallback for defective generators: blocked powers of S = e^{(A - rI) step}.
 
     The shifted propagator at t_i = offset + i*step is E0 S^i, with
@@ -392,7 +377,6 @@ def _stepping_logb(a: np.ndarray, grid: SamplingGrid, b: int, functional) -> _Lo
     come from extreme Jordan structure; the horizon is then truncated at
     the first non-finite propagator and reported.
     """
-    r = float(np.linalg.eigvals(a).real.max())
     d = a.shape[0]
     step_mat = expm(a - r * np.eye(d), grid.step)
     powers = [step_mat]
@@ -444,10 +428,8 @@ def sample_log_signal(spec: SignalSpec, grid: SamplingGrid, b: int = 10) -> _Log
     b = validate_base(b)
     if isinstance(spec, Synthetic):
         return _logb_synthetic(spec, grid, b)
-    if isinstance(spec, ObservableOnFlow):
-        return _logb_observable(spec, grid, b)
-    if isinstance(spec, NormOnFlow):
-        return _logb_norm(spec, grid, b)
+    if isinstance(spec, (ObservableOnFlow, NormOnFlow)):
+        return _logb_flow(spec, grid, b)
     raise UsageError(f"unknown signal spec {type(spec).__name__}")
 
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .matrixcore import as_square_matrix
 from .resonance import numeric_relation_scan
 from .significand import validate_base
 
@@ -83,13 +82,6 @@ def _has_close_pair(eigs: np.ndarray, tol: float) -> bool:
     gaps = np.abs(eigs[:, None] - eigs[None, :])
     np.fill_diagonal(gaps, np.inf)
     return bool(gaps.min() <= tol)
-
-
-def discriminant_proxy(a: np.ndarray, tol: float = 1e-8) -> bool:
-    """True when two computed eigenvalues are within tol of each other."""
-    if tol <= 0:
-        raise UsageError("tolerance must be positive")
-    return _has_close_pair(np.linalg.eigvals(as_square_matrix(a)), tol)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from .config import Tolerances
 from .errors import DomainError, NumericalError, SignalOverflowError, UsageError
 
 _DEFAULT_TOL = Tolerances()
+_RANK_TOL = 1e-10  # relative singular-value cutoff of jordan_index's rank drops
 
 
 def as_square_matrix(obj) -> np.ndarray:
@@ -148,7 +149,7 @@ def _rank(mat: np.ndarray, tol: float, noise_floor: float) -> int:
     return int(np.count_nonzero(sv > cut))
 
 
-def jordan_index(a: np.ndarray, z: complex, tol: float = _DEFAULT_TOL.rank, *, branch_tol: float | None = None) -> int:
+def jordan_index(a: np.ndarray, z: complex, tol: float = _RANK_TOL, *, branch_tol: float | None = None) -> int:
     """Largest k with rank(B^{k+1}) < rank(B^k), i.e. largest block size - 1.
 
     B is A - zI for real z and the real quadratic factor

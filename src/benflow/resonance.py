@@ -119,12 +119,18 @@ class ResonanceVerdict:
             raise UsageError("witness implies a resonant verdict")
 
 
-def _coeffs_to_relation(coeffs: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """Clear denominators: coefficients rho_l become p_l / q."""
-    q = 1
-    for c in coeffs:
-        q = q * c.denominator // math.gcd(q, c.denominator)
-    return q, [int(c * q) for c in coeffs]
+def _span_witness(coeffs: Sequence[Fraction], target: object, elements: Sequence) -> RelationWitness:
+    """The witness q * target = sum p_l * element_l for span coefficients
+    rho_l = p_l / q, keeping only the elements with p_l != 0."""
+    q = math.lcm(*(c.denominator for c in coeffs))
+    involved = [i for i, c in enumerate(coeffs) if c != 0]
+    return RelationWitness(
+        kind="span-membership",
+        q=q,
+        p=tuple(int(coeffs[i] * q) for i in involved),
+        target=target,
+        elements=tuple(elements[i] for i in involved),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -173,17 +179,9 @@ def is_b_nonresonant(points: Iterable[ShellPoint], b: int) -> ResonanceVerdict:
         target = shell[0].log_modulus
         coeffs = span_membership(target, deltas)
         if coeffs is not None:
-            q, p = _coeffs_to_relation(coeffs)
-            involved = [i for i, c in enumerate(p) if c != 0]
             return ResonanceVerdict(
                 True,
-                RelationWitness(
-                    kind="span-membership",
-                    q=q,
-                    p=tuple(p[i] for i in involved),
-                    target=target,
-                    elements=tuple(deltas[i] for i in involved),
-                ),
+                _span_witness(coeffs, target, deltas),
                 assumptions,
                 "log-modulus lies in the rational span of the argument-difference set",
             )
@@ -243,20 +241,11 @@ def is_exp_b_nonresonant(zs: Iterable[ExactComplex], b: int) -> ResonanceVerdict
                 "an element lies on the imaginary axis",
             )
         gens = [_lnb_over_pi_times(w.im, b) for w in group]
-        target = {m: c for m, c in z.re.as_terms().items()}
-        coeffs = membership_over_monomials(target, gens)
+        coeffs = membership_over_monomials(z.re.as_terms(), gens)
         if coeffs is not None:
-            q, p = _coeffs_to_relation(coeffs)
-            involved = [i for i, c in enumerate(p) if c != 0]
             return ResonanceVerdict(
                 True,
-                RelationWitness(
-                    kind="span-membership",
-                    q=q,
-                    p=tuple(p[i] for i in involved),
-                    target=z,
-                    elements=tuple(group[i] for i in involved),
-                ),
+                _span_witness(coeffs, z, group),
                 assumptions,
                 "a real part lies in the rational span of its equal-Re scaled imaginary parts",
             )

@@ -269,7 +269,8 @@ def torus_map_apply(spec: TorusMapSpec, x) -> np.ndarray | float:
 
     Accepts a single point (length-d array or scalar for d = 1) or an
     (n, d) batch.  Cosine sums indistinguishable from zero fall back to
-    the ln 0 := 0 convention; no point is excluded.
+    the ln 0 := 0 convention; no point is excluded.  Non-finite points
+    raise DomainError.
     """
     arr = np.asarray(x, dtype=float)
     if arr.ndim == 0:
@@ -287,6 +288,8 @@ def torus_map_apply(spec: TorusMapSpec, x) -> np.ndarray | float:
         pts = arr
     if pts.shape[1] != spec.d:
         raise UsageError(f"points must have dimension {spec.d}")
+    if not np.all(np.isfinite(pts)):
+        raise DomainError("torus points must be finite")
     linear = pts @ np.asarray(spec.p, dtype=float)
     cos_sum = _cos_2pi(pts) @ np.asarray(spec.u, dtype=float)
     mag = np.abs(cos_sum)
@@ -306,7 +309,7 @@ def pushforward_fourier(spec: TorusMap, k: int, grid_n: int = 1000) -> complex:
     coefficient is exactly 1 (total mass).  Besides TorusMapSpec, a
     vectorized callable on [0,1) is accepted as a one-dimensional map.
     Dimensions above 3 are rejected: tensor grids do not scale, use
-    Monte Carlo instead.
+    Monte Carlo instead.  Non-finite map values raise DomainError.
     """
     if k == 0:
         return complex(1.0)
@@ -323,5 +326,5 @@ def pushforward_fourier(spec: TorusMap, k: int, grid_n: int = 1000) -> complex:
         values = torus_map_apply(spec, mesh)
     else:
         x = (np.arange(grid_n) + 0.5) / grid_n
-        values = np.asarray(spec(x), dtype=float)
-    return complex(np.exp(2j * np.pi * k * values).mean())
+        values = spec(x)
+    return weyl_sum_sequence(values, k)

@@ -1,0 +1,26 @@
+"""Helpers only the tests use: the packaged-fixture reader and the
+float close-pair proxy for a vanishing discriminant."""
+from importlib import resources
+
+import numpy as np
+
+from benflow.errors import UsageError
+from benflow.genericity import _has_close_pair
+from benflow.matrixcore import as_square_matrix
+
+
+def fixture_text(name: str) -> str:
+    """Contents of a packaged annotated-matrix fixture."""
+    ref = resources.files("benflow") / "fixtures" / name
+    try:
+        return ref.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        available = sorted(p.name for p in (resources.files("benflow") / "fixtures").iterdir())
+        raise UsageError(f"no fixture {name!r}; available: {available}") from None
+
+
+def discriminant_proxy(a: np.ndarray, tol: float = 1e-8) -> bool:
+    """True when two computed eigenvalues are within tol of each other."""
+    if tol <= 0:
+        raise UsageError("tolerance must be positive")
+    return _has_close_pair(np.linalg.eigvals(as_square_matrix(a)), tol)

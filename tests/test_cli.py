@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from benflow.cli import EXIT_EXPECTATION, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from benflow.dataio import fixture_text, load_matrix, parse_exact_spectrum, parse_monomial_label
+from benflow.dataio import load_matrix, parse_exact_spectrum, parse_monomial_label
 from benflow.errors import UsageError
 from benflow.exactreal import Monomial
+from helpers import fixture_text
 
 
 @pytest.fixture
@@ -311,6 +312,16 @@ class TestConfigFile:
         config.write_text(json.dumps({"horzon": 1.0}))
         code, _, err = run_cli(capsys, "--config", str(config), "example", "ex-3-8")
         assert code == EXIT_USAGE
+
+    def test_unknown_tolerance_key_exit_2(self, capsys, tmp_path):
+        # jordan_index's rank cutoff is a constant, not a setting
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"tolerances": {"rank": 0.9}}))
+        matrix = tmp_path / "m.csv"
+        matrix.write_text("1,0\n0,2\n")
+        code, _, err = run_cli(capsys, "--config", str(config), "analyze-matrix", str(matrix))
+        assert code == EXIT_USAGE
+        assert "unknown tolerances keys ['rank']" in err
 
 
 class TestDataIO:

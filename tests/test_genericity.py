@@ -4,14 +4,10 @@ import numpy as np
 import pytest
 
 from benflow.errors import UsageError
-from benflow.genericity import (
-    EnsembleSpec,
-    discriminant_proxy,
-    resonance_census,
-    sample_generator,
-)
+from benflow.genericity import EnsembleSpec, resonance_census, sample_generator
 from benflow.resonance import is_exp_nonresonant_algebraic
 from exact_oracles import characteristic_polynomial, enumerate_integer_support, exact_discriminant
+from helpers import discriminant_proxy
 
 
 class TestEnsemble:

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from benflow.errors import UsageError
-from benflow.exactreal import ExactComplex, Monomial, PI, SymbolBasis, exact_log_base
+from benflow.exactreal import ExactComplex, ExactReal, Monomial, PI, SymbolBasis, exact_log_base
 from benflow.resonance import (
     ShellPoint,
     argument_difference_set,
@@ -165,7 +167,50 @@ class TestClosureProperties:
                     assert verify_exp_witness(verdict.witness, b)
 
 
+SHELL_BASIS = SymbolBasis.default(10).extended(Monomial.of(pi=1, ln10=-1))
+
+
+def shell_reals():
+    """Sparse small-rational values over {1, pi, ln10, pi/ln10}."""
+    coord = st.one_of(st.just(Fraction(0)), st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+    return st.tuples(*[coord] * len(SHELL_BASIS.symbols)).map(lambda cs: ExactReal(SHELL_BASIS, cs))
+
+
+@st.composite
+def shell_point_sets(draw):
+    """One to four points over at most two shared log-moduli."""
+    moduli = draw(st.lists(shell_reals(), min_size=1, max_size=2))
+    count = draw(st.integers(1, 4))
+    return [ShellPoint(draw(st.sampled_from(moduli)), draw(shell_reals())) for _ in range(count)]
+
+
 class TestShellNonresonance:
+    @given(shell_point_sets())
+    @settings(max_examples=300, deadline=None)
+    def test_witness_validity_on_random_shells(self, points):
+        verdict = is_b_nonresonant(points, 10)
+        witness = verdict.witness
+        if not verdict.resonant:
+            assert witness is None
+            return
+        if witness.kind == "span-membership":
+            # q * target = sum p_l * delta_l over the target's own shell
+            assert witness.q >= 1 and all(witness.p)
+            shell = [pt for pt in points if pt.log_modulus == witness.target]
+            assert shell
+            deltas = {d.coords for d in argument_difference_set(shell)}
+            assert all(e.coords in deltas for e in witness.elements)
+            total = SHELL_BASIS.zero()
+            for coeff, element in zip(witness.p, witness.elements):
+                total = total + element.scaled(coeff)
+            assert witness.target.scaled(witness.q) == total
+        else:
+            assert witness.kind == "argument-difference"
+            zi, zj = witness.elements
+            assert zi.log_modulus == zj.log_modulus
+            assert witness.p[0] != 0
+            assert zi.turns - zj.turns == SHELL_BASIS.rational(Fraction(witness.p[0], witness.q))
+
     def test_rational_two_nonresonant(self):
         basis = SymbolBasis.default(10)
         lm, ext, certified = exact_log_base(2, 10, basis)

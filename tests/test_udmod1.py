@@ -308,6 +308,13 @@ class TestTorusMap:
         with pytest.raises(UsageError):
             TorusMapSpec(p=(1,), alpha=0.0, u=(1.0,))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_points_rejected(self, bad):
+        with pytest.raises(DomainError):
+            torus_map_apply(TorusMapSpec(p=(1,), alpha=1.0, u=(1.0,)), bad)
+        with pytest.raises(DomainError):
+            torus_map_apply(TorusMapSpec(p=(1, 2), alpha=0.5, u=(1.0, 0.5)), [[0.25, 0.5], [0.0, bad]])
+
     def test_absolute_continuity_no_empty_bins(self):
         # pushforward of the uniform grid fills every bin at 100 bins
         spec = TorusMapSpec(p=(1,), alpha=1 / math.log(10), u=(1.0,))
@@ -340,6 +347,11 @@ class TestPushforwardFourier:
         spec = TorusMapSpec(p=(1, 2), alpha=0.5, u=(1.0, 0.5))
         value = pushforward_fourier(spec, 1, 300)
         assert abs(value) <= 1.0
+
+    def test_non_finite_map_values_rejected(self):
+        # log10 of |cos| - 1/2 is NaN wherever |cos| < 1/2
+        with pytest.raises(DomainError), np.errstate(invalid="ignore"):
+            pushforward_fourier(lambda x: np.log10(np.abs(np.cos(2 * np.pi * x)) - 0.5), 1)
 
     def test_dimension_guard(self):
         spec = TorusMapSpec(p=(1, 1, 1, 1), alpha=1.0, u=(1.0, 1.0, 1.0, 1.0))
