@@ -12,14 +12,14 @@ Exit codes: 0 success / expectation met, 2 usage or parse error,
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .config import RunConfig, load_config
-from .dataio import load_matrix, load_signal_csv, parse_exact_spectrum, write_digit_csv, write_ecdf_csv
+from .config import RunConfig
+from .dataio import emit_report, load_config, load_matrix, load_signal_csv, parse_exact_spectrum, write_table
 from .demos import EXAMPLE_IDS, run_example
 from .errors import BenflowError, SignalOverflowError, UsageError
 from .flowsignal import (
@@ -53,13 +53,14 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--step", type=float, help=f"sampling step (default {defaults.step:g})")
     parser.add_argument("--seed", type=int, help="seed for randomized commands")
     parser.add_argument("--out", type=Path, help="write the report here instead of stdout")
-    parser.add_argument("--format", choices=("json", "csv"), help="report format (default json)")
+    parser.add_argument("--format", dest="output_format", choices=("json", "csv"), help="report format (default json)")
     parser.add_argument("--config", type=Path, help="JSON config mirroring RunConfig fields")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_analyze = sub.add_parser("analyze-matrix", help="spectral and resonance analysis of a generator")
     p_analyze.add_argument("matrix", type=Path, help="matrix file (CSV rows or JSON)")
+    p_analyze.set_defaults(run=_cmd_analyze)
 
     p_benford = sub.add_parser("benford", help="Benford conformance verdict for a signal")
     source = p_benford.add_mutually_exclusive_group(required=True)
@@ -70,9 +71,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_benford.add_argument("--norm", choices=("spectral", "frobenius", "max"), help="use a norm signal")
     p_benford.add_argument("--digits-csv", type=Path, help="write per-digit frequencies here")
     p_benford.add_argument("--ecdf-csv", type=Path, help="write significand ECDF samples here")
+    p_benford.set_defaults(run=_cmd_benford)
 
     p_example = sub.add_parser("example", help="run a scripted demonstration scenario")
     p_example.add_argument("id", help=f"one of: {', '.join(EXAMPLE_IDS)}")
+    p_example.set_defaults(run=_cmd_example)
 
     p_census = sub.add_parser("census", help="random-matrix resonance census")
     p_census.add_argument("--dim", type=int, required=True)
@@ -80,32 +83,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_census.add_argument("--dist", default="gaussian", help="gaussian | uniform | int<m>")
     p_census.add_argument("--tol", type=float, default=1e-8)
     p_census.add_argument("--height", type=int, default=8)
+    p_census.set_defaults(run=_cmd_census)
     return parser
 
 
 def _merge_config(args) -> RunConfig:
-    cfg = RunConfig()
-    if args.config:
-        cfg = load_config(args.config, cfg)
-    overrides = {}
-    if args.base is not None:
-        overrides["base"] = args.base
-    if args.horizon is not None:
-        overrides["horizon"] = args.horizon
-    if args.step is not None:
-        overrides["step"] = args.step
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.format is not None:
-        overrides["output_format"] = args.format
-    return replace(cfg, **overrides) if overrides else cfg
-
-
-def _emit(text: str, out: Path | None) -> None:
-    if out:
-        out.write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
+    cfg = load_config(args.config) if args.config else RunConfig()
+    flags = ("base", "horizon", "step", "seed", "output_format")
+    return replace(cfg, **{f: getattr(args, f) for f in flags if getattr(args, f) is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -174,13 +159,11 @@ def _cmd_analyze(args, cfg: RunConfig) -> int:
             "assumptions": list(verdict.assumptions),
             "detail": verdict.detail,
         }
-    if cfg.output_format == "csv":
-        lines = ["re,im,multiplicity,jordan_index"]
-        for p in info.points:
-            lines.append(f"{p.z.real:.12g},{p.z.imag:.12g},{p.m},{p.k}")
-        _emit("\n".join(lines), args.out)
-    else:
-        _emit(json.dumps(report, indent=2), args.out)
+    table = None if "exact" in report else (
+        ["re", "im", "multiplicity", "jordan_index"],
+        [[f"{p.z.real:.12g}", f"{p.z.imag:.12g}", p.m, p.k] for p in info.points],
+    )
+    emit_report(report, cfg.output_format, args.out, table)
     return EXIT_OK
 
 
@@ -217,19 +200,17 @@ def _cmd_benford(args, cfg: RunConfig) -> int:
             else:
                 spec = NormOnFlow(matrix, args.norm or "spectral")
         report = benford_verdict(spec, config=cfg)
-    if args.digits_csv and report.digit_histogram is not None:
-        write_digit_csv(args.digits_csv, report.digit_histogram, digit_law_pmf(report.base))
+    digits = None  # one row list for --digits-csv and the csv format
+    if report.digit_histogram is not None:
+        pairs = zip(report.digit_histogram.frequencies(), digit_law_pmf(report.base))
+        digits = (["digit", "observed", "target"], [[d, f"{f:.10g}", f"{t:.10g}"] for d, (f, t) in enumerate(pairs, 1)])
+        if args.digits_csv:
+            write_table(args.digits_csv, digits)
     if args.ecdf_csv and report.ecdf_quantiles:
-        write_ecdf_csv(args.ecdf_csv, report.ecdf_quantiles, report.base)
-    if cfg.output_format == "csv" and report.digit_histogram is not None:
-        freqs = report.digit_histogram.frequencies()
-        pmf = digit_law_pmf(report.base)
-        lines = ["digit,observed,target"]
-        for d in range(1, report.base):
-            lines.append(f"{d},{freqs[d - 1]:.10g},{pmf[d - 1]:.10g}")
-        _emit("\n".join(lines), args.out)
-    else:
-        _emit(json.dumps(report.to_dict(), indent=2), args.out)
+        q = report.ecdf_quantiles
+        rows = [[f"{s:.10g}", f"{i / len(q):.10g}", f"{math.log(s, report.base):.10g}"] for i, s in enumerate(q, 1)]
+        write_table(args.ecdf_csv, (["significand", "ecdf", "target"], rows))
+    emit_report(report.to_dict(), cfg.output_format, args.out, digits)
     return EXIT_NUMERIC if report.truncated_at is not None else EXIT_OK
 
 
@@ -239,20 +220,15 @@ def _cmd_benford(args, cfg: RunConfig) -> int:
 
 def _cmd_example(args, cfg: RunConfig) -> int:
     result = run_example(args.id, cfg)
-    _emit(json.dumps(result.to_dict(), indent=2), args.out)
+    emit_report(result.to_dict(), cfg.output_format, args.out)
     return EXIT_OK if result.passed else EXIT_EXPECTATION
 
 
 def _cmd_census(args, cfg: RunConfig) -> int:
     spec = EnsembleSpec(d=args.dim, distribution=args.dist, N=args.n, seed=cfg.seed)
     report = resonance_census(spec, cfg.base, args.tol, args.height)
-    if cfg.output_format == "csv":
-        d = report.to_dict()
-        header = ",".join(d.keys())
-        row = ",".join(str(v) for v in d.values())
-        _emit(f"{header}\n{row}", args.out)
-    else:
-        _emit(report.to_json(), args.out)
+    d = report.to_dict()
+    emit_report(d, cfg.output_format, args.out, (list(d), [list(d.values())]))
     return EXIT_OK
 
 
@@ -264,16 +240,7 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return int(exc.code or 0)
     try:
-        cfg = _merge_config(args)
-        if args.command == "analyze-matrix":
-            return _cmd_analyze(args, cfg)
-        if args.command == "benford":
-            return _cmd_benford(args, cfg)
-        if args.command == "example":
-            return _cmd_example(args, cfg)
-        if args.command == "census":
-            return _cmd_census(args, cfg)
-        raise UsageError(f"unknown command {args.command!r}")
+        return args.run(args, _merge_config(args))
     except SignalOverflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

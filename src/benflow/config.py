@@ -3,12 +3,12 @@
 Thresholds are data, not code: every statistic compared against a cutoff
 reads the cutoff from these records so that callers (and the CLI config
 file) can tighten or relax them without touching the analysis modules.
+This module only defines the records; `dataio.load_config` reads a
+config file into them.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass, field
 
 from .errors import UsageError
 from .udmod1 import SamplingGrid
@@ -72,29 +72,3 @@ class RunConfig:
         """The uniform grid (0, horizon] at the configured step."""
         return SamplingGrid(T=self.horizon, step=self.step)
 
-
-def load_config(path: str | Path, base: RunConfig | None = None) -> RunConfig:
-    """Read a JSON config file whose keys mirror RunConfig field names."""
-    cfg = base or RunConfig()
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config {path}: invalid JSON at line {exc.lineno} column {exc.colno}") from exc
-    if not isinstance(raw, dict):
-        raise UsageError(f"config {path}: expected a JSON object")
-    nested = {"thresholds": VerdictThresholds, "tolerances": Tolerances}
-    updates: dict = {}
-    for key, value in raw.items():
-        if key in nested:
-            if not isinstance(value, dict):
-                raise UsageError(f"config {path}: {key} must be an object")
-            current = getattr(cfg, key)
-            unknown = set(value) - set(current.__dataclass_fields__)
-            if unknown:
-                raise UsageError(f"config {path}: unknown {key} keys {sorted(unknown)}")
-            updates[key] = replace(current, **value)
-        elif key in RunConfig.__dataclass_fields__:
-            updates[key] = value
-        else:
-            raise UsageError(f"config {path}: unknown key {key!r}")
-    return replace(cfg, **updates)

@@ -1,4 +1,7 @@
-"""File formats: matrices, exact spectrum annotations, signal CSVs, report emission.
+"""File I/O: matrices, exact spectrum annotations, signal CSVs, config files, reports.
+
+Every file read or written, and every report rendered as text, goes
+through here; `emit_report` holds the one table-or-JSON rule.
 
 Matrices arrive as CSV (one row per line) or JSON (a plain
 array-of-arrays, or an object with a "matrix" key and an optional
@@ -29,13 +32,17 @@ to rationals written as integers or "p/q" strings.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import UsageError
 from .exactreal import ExactComplex, ExactReal, Monomial, ONE, SymbolBasis
 
@@ -113,12 +120,7 @@ def load_matrix(path: str | Path) -> tuple[np.ndarray, dict | None]:
     path = Path(path)
     text = path.read_text(encoding="utf-8")
     if path.suffix.lower() == ".json" or text.lstrip()[:1] in "[{":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise UsageError(
-                f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}"
-            ) from exc
+        data = _parse_json(text, path)
         if isinstance(data, dict):
             if "matrix" not in data:
                 raise UsageError(f"{path}: object form needs a 'matrix' key")
@@ -173,23 +175,57 @@ def load_signal_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(times), np.asarray(values)
 
 
-def write_digit_csv(path: str | Path, histogram, pmf) -> None:
-    """Per-digit observed vs target frequencies, for plotting."""
-    freqs = histogram.frequencies()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["digit", "observed", "target"])
-        for digit in range(1, histogram.base):
-            writer.writerow([digit, f"{freqs[digit - 1]:.10g}", f"{pmf[digit - 1]:.10g}"])
+def _parse_json(text: str, where) -> object:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{where}: invalid JSON at line {exc.lineno} column {exc.colno}") from exc
 
 
-def write_ecdf_csv(path: str | Path, quantiles, base: int) -> None:
-    """Significand ECDF quantiles vs the log_b target, for plotting."""
-    n = len(quantiles)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["significand", "ecdf", "target"])
-        for i, s in enumerate(quantiles):
-            writer.writerow(
-                [f"{s:.10g}", f"{(i + 1) / n:.10g}", f"{math.log(s) / math.log(base):.10g}"]
-            )
+def load_config(path: str | Path) -> RunConfig:
+    """Read a JSON config file whose keys mirror RunConfig field names."""
+    cfg = RunConfig()
+    raw = _parse_json(Path(path).read_text(encoding="utf-8"), f"config {path}")
+    if not isinstance(raw, dict):
+        raise UsageError(f"config {path}: expected a JSON object")
+    updates: dict = {}
+    for key, value in raw.items():
+        if key in ("thresholds", "tolerances"):
+            if not isinstance(value, dict):
+                raise UsageError(f"config {path}: {key} must be an object")
+            current = getattr(cfg, key)
+            unknown = set(value) - set(current.__dataclass_fields__)
+            if unknown:
+                raise UsageError(f"config {path}: unknown {key} keys {sorted(unknown)}")
+            updates[key] = replace(current, **value)
+        elif key in RunConfig.__dataclass_fields__:
+            updates[key] = value
+        else:
+            raise UsageError(f"config {path}: unknown key {key!r}")
+    return replace(cfg, **updates)
+
+
+Table = tuple[list[str], list[list]]  # (header, rows)
+
+
+def _csv_text(table: Table) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([table[0], *table[1]])
+    return buf.getvalue()
+
+
+def write_table(path: str | Path, table: Table) -> None:
+    """Write a table as CSV, e.g. per-digit frequencies for plotting."""
+    Path(path).write_text(_csv_text(table), encoding="utf-8")
+
+
+def emit_report(report: dict, output_format: str, out: Path | None, table: Table | None = None) -> None:
+    """Print the table as CSV under the "csv" format; otherwise, or with no table, the report as JSON."""
+    if output_format == "csv" and table is not None:
+        text = _csv_text(table)
+    else:
+        text = json.dumps(report, indent=2) + "\n"
+    if out:
+        out.write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)

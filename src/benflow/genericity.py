@@ -16,7 +16,6 @@ and reports are bit-reproducible.
 """
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 
@@ -116,9 +115,6 @@ class CensusReport:
             "base": self.base,
             "rng_algorithm": self.rng_algorithm,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def resonance_census(

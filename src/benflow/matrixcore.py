@@ -116,7 +116,6 @@ def _cluster_eigenvalues(eigs: np.ndarray, thr: float) -> list[tuple[complex, in
             z = complex(z.real, 0.0)
         cleaned.append((z, m))
     # symmetrize conjugate pairs so Re parts agree bitwise
-    out: list[tuple[complex, int]] = []
     used = [False] * len(cleaned)
     for i, (z, m) in enumerate(cleaned):
         if used[i] or z.imag == 0.0:
@@ -130,9 +129,8 @@ def _cluster_eigenvalues(eigs: np.ndarray, thr: float) -> list[tuple[complex, in
                 cleaned[j] = (complex(re, -im if z.imag > 0 else im), mj)
                 used[i] = used[j] = True
                 break
-    out = cleaned
-    out.sort(key=lambda pair: (pair[0].real, pair[0].imag))
-    return out
+    cleaned.sort(key=lambda pair: (pair[0].real, pair[0].imag))
+    return cleaned
 
 
 def _rank(mat: np.ndarray, tol: float, noise_floor: float) -> int:

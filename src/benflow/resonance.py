@@ -43,7 +43,6 @@ __all__ = [
     "ResonanceVerdict",
     "IntegerRelation",
     "argument_difference_set",
-    "span_membership",
     "is_b_nonresonant",
     "is_exp_b_nonresonant",
     "is_exp_nonresonant_algebraic",
@@ -388,37 +387,17 @@ def _scan_group(re: float, gens: list[float], height: int) -> tuple[int, list[in
         if abs(q * re - p * gens[0]) < _RESIDUAL_TOL:
             return q, [p]
         return None
-    # multi-generator: PSLQ with elimination of relations not involving re
+    # a PSLQ relation among the generators alone: drop its largest generator and retry
     with mpmath.workdps(50):
-        values = [mpmath.mpf(re)] + [mpmath.mpf(g) for g in gens]
-        active = list(range(len(gens)))
-        for _ in range(len(gens)):
-            rel = _pslq_relation(values, height)
-            if rel is None:
-                return None
-            if rel[0] != 0:
-                q = rel[0]
-                p = [-c for c in rel[1:]]
-                if q < 0:
-                    q, p = -q, [-c for c in p]
-                full = [0] * len(gens)
-                for slot, coeff in zip(active, p):
-                    full[slot] = coeff
-                return q, full
-            # drop one generator participating in the re-free relation
-            drop = max(range(1, len(rel)), key=lambda i: abs(rel[i]))
-            del values[drop]
-            del active[drop - 1]
-            if len(values) == 1:
-                return None
-            if len(values) == 2:
-                fit = _rational_fit(float(values[0] / values[1]), height)
-                if fit is None:
-                    return None
-                p1, q = fit
-                if abs(q * float(values[0]) - p1 * float(values[1])) < _RESIDUAL_TOL:
-                    full = [0] * len(gens)
-                    full[active[0]] = p1
-                    return q, full
-                return None
-    return None
+        rel = _pslq_relation([mpmath.mpf(re)] + [mpmath.mpf(g) for g in gens], height)
+    if rel is None:
+        return None
+    if rel[0] == 0:
+        drop = max(range(1, len(rel)), key=lambda i: abs(rel[i])) - 1
+        found = _scan_group(re, gens[:drop] + gens[drop + 1:], height)
+        if found is None:
+            return None
+        q, p = found
+        return q, p[:drop] + [0] + p[drop:]
+    q, p = rel[0], [-c for c in rel[1:]]
+    return (q, p) if q > 0 else (-q, [-c for c in p])

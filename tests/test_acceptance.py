@@ -210,7 +210,7 @@ def test_criterion_9_genericity_census():
     assert report.imaginary_axis_hits == 0
     assert report.multiple_eigenvalue_hits == 0
     repeat = resonance_census(spec, 10, 1e-8, 8)
-    assert report.to_json() == repeat.to_json()
+    assert report.to_dict() == repeat.to_dict()
     report_pass(
         9,
         "gaussian census nullset proxy",

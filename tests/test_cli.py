@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -120,6 +121,15 @@ class TestAnalyzeMatrix:
         assert code == EXIT_OK
         assert out.splitlines()[0] == "re,im,multiplicity,jordan_index"
 
+    def test_csv_format_annotated_prints_exact_json(self, capsys, tmp_path):
+        # the exact verdict has no table form, so it is not dropped for one
+        path = tmp_path / "psi.json"
+        path.write_text(fixture_text("ex-3-14-psi.json"))
+        code, out, _ = run_cli(capsys, "--format", "csv", "analyze-matrix", str(path))
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["exact"]["witness"] == {"kind": "span-membership", "q": 2, "p": [1]}
+
 
 class TestBenfordCommand:
     def test_synthetic_pass(self, capsys):
@@ -164,6 +174,13 @@ class TestBenfordCommand:
         assert code == EXIT_OK
         assert json.loads(out)["verdict"] == "TRIVIAL"
 
+    def test_all_zero_csv_format_prints_trivial_json(self, capsys, tmp_path):
+        path = tmp_path / "zeros.csv"
+        path.write_text("\n".join(f"{i * 0.1},0.0" for i in range(200)))
+        code, out, _ = run_cli(capsys, "--format", "csv", "benford", "--signal-csv", str(path))
+        assert code == EXIT_OK
+        assert json.loads(out)["verdict"] == "TRIVIAL"
+
     def test_non_numeric_csv_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0.0,1.0\n0.1,banana\n")
@@ -193,6 +210,23 @@ class TestBenfordCommand:
         ecdf_lines = ecdf.read_text().splitlines()
         assert ecdf_lines[0] == "significand,ecdf,target"
         assert len(ecdf_lines) > 100
+
+    def test_digits_csv_file_equals_csv_stdout(self, capsys, tmp_path):
+        digits = tmp_path / "digits.csv"
+        code, out, _ = run_cli(
+            capsys,
+            "--horizon",
+            "1000",
+            "--format",
+            "csv",
+            "benford",
+            "--synthetic",
+            "r=1,k=0,modes=0:1",
+            "--digits-csv",
+            str(digits),
+        )
+        assert code == EXIT_OK
+        assert digits.read_bytes() == out.encode("utf-8")
 
     def test_overflow_truncation_exit_3(self, capsys, tmp_path):
         gen = tmp_path / "gen.json"
@@ -239,6 +273,11 @@ class TestExampleCommand:
         assert code == EXIT_EXPECTATION
         assert json.loads(out)["passed"] is False
 
+    def test_csv_format_prints_json(self, capsys):
+        code, out, _ = run_cli(capsys, "--format", "csv", "example", "ex-3-8")
+        assert code == EXIT_OK
+        assert json.loads(out)["passed"] is True
+
 
 class TestCensusCommand:
     def test_gaussian_census(self, capsys):
@@ -276,6 +315,15 @@ class TestCensusCommand:
         assert code == EXIT_OK
         lines = out.splitlines()
         assert lines[0].startswith("n,imaginary_axis_hits")
+
+    def test_csv_row_matches_json(self, capsys):
+        argv = ("census", "--dim", "2", "--n", "50")
+        _, table, _ = run_cli(capsys, "--format", "csv", *argv)
+        _, text, _ = run_cli(capsys, *argv)
+        report = json.loads(text)
+        header, row = csv.reader(table.splitlines())
+        assert header == list(report)
+        assert row == [str(v) for v in report.values()]
 
 
 class TestConfigFile:

@@ -95,7 +95,7 @@ class TestCensus:
         spec = EnsembleSpec(d=3, distribution="gaussian", N=500, seed=11)
         r1 = resonance_census(spec, 10, 1e-8, 8)
         r2 = resonance_census(spec, 10, 1e-8, 8)
-        assert r1.to_json() == r2.to_json()
+        assert r1.to_dict() == r2.to_dict()
 
     def test_integer_ensemble_hits(self):
         # oracle: the support of int1 at d = 2 contains imaginary-axis matrices
@@ -145,7 +145,7 @@ class TestCensus:
     def test_json_schema(self):
         spec = EnsembleSpec(d=2, distribution="gaussian", N=10, seed=1)
         report = resonance_census(spec, 10, 1e-8, 8)
-        data = json.loads(report.to_json())
+        data = json.loads(json.dumps(report.to_dict()))
         assert set(data) == {
             "n",
             "imaginary_axis_hits",

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from benflow import resonance
 from benflow.errors import UsageError
 from benflow.exactreal import ExactComplex, ExactReal, Monomial, PI, SymbolBasis, exact_log_base
 from benflow.resonance import (
@@ -359,3 +360,36 @@ class TestNumericRelationScan:
     def test_bad_height_rejected(self):
         with pytest.raises(UsageError):
             numeric_relation_scan([complex(1, 1)], 10, 0)
+
+    @staticmethod
+    def _spy_pslq(monkeypatch):
+        """Record every relation PSLQ returns during a scan."""
+        found = []
+        real = resonance._pslq_relation
+
+        def spy(values, height):
+            rel = real(values, height)
+            found.append(rel)
+            return rel
+
+        monkeypatch.setattr(resonance, "_pslq_relation", spy)
+        return found
+
+    def test_generator_relation_dropped_then_found(self, monkeypatch):
+        # Im in {1, 2, e}: PSLQ first meets the re-free relation g2 = 2 g1,
+        # drops a generator and then finds 4 Re = 3 (ln b / pi) * 2
+        found = self._spy_pslq(monkeypatch)
+        re = 1.5 * LN10 / math.pi
+        zs = [complex(re, s * im) for im in (1.0, 2.0, math.e) for s in (1, -1)]
+        rel = numeric_relation_scan(zs, 10, 8)
+        assert found[0] is not None and found[0][0] == 0
+        assert rel is not None
+        assert (rel.q, tuple(rel.p)) == (4, (3,))
+        assert [w.imag for w in rel.elements] == [2.0]
+
+    def test_generator_relation_dropped_then_none(self, monkeypatch):
+        found = self._spy_pslq(monkeypatch)
+        re = 1 + math.sqrt(2) / 7
+        zs = [complex(re, s * im) for im in (1.0, 2.0, math.e) for s in (1, -1)]
+        assert numeric_relation_scan(zs, 10, 8) is None
+        assert found[0] is not None and found[0][0] == 0
