@@ -65,7 +65,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_benford = sub.add_parser("benford", help="Benford conformance verdict for a signal")
     source = p_benford.add_mutually_exclusive_group(required=True)
     source.add_argument("--matrix", type=Path, help="generator matrix file")
-    source.add_argument("--synthetic", metavar="SPEC", help="r=R,k=K,modes=w:u[,w:u...]")
+    source.add_argument(
+        "--synthetic",
+        metavar="SPEC",
+        help="r=R,k=K,modes=w:u[,w:u...] (';' also separates modes; defaults r=0, k=0, modes=0:1)",
+    )
     source.add_argument("--signal-csv", type=Path, help="two-column (t, value) CSV")
     p_benford.add_argument("--observable", type=Path, help="observable coefficient matrix file")
     p_benford.add_argument("--norm", choices=("spectral", "frobenius", "max"), help="use a norm signal")
@@ -172,7 +176,24 @@ def _cmd_analyze(args, cfg: RunConfig) -> int:
 
 
 def _parse_synthetic(text: str) -> Synthetic:
-    fields = dict(part.split("=", 1) for part in text.split(",") if "=" in part)
+    """Parse r=R,k=K,modes=w:u[,w:u...]; ';' may also separate modes.
+
+    Each key at most once, in any order; an omitted key defaults to r=0,
+    k=0, modes=0:1.  A part without '=' continues the modes list.
+    """
+    fields: dict[str, str] = {}
+    key = None
+    for part in text.split(","):
+        name, eq, value = part.partition("=")
+        if eq and name in ("r", "k", "modes") and name not in fields:
+            key, fields[name] = name, value
+        elif not eq and key == "modes" and ":" in part:
+            fields["modes"] += ";" + part
+        else:
+            raise UsageError(
+                f"bad synthetic spec {text!r}: unexpected {part!r} "
+                "(expected r=R,k=K,modes=w:u[,w:u...], each key at most once)"
+            )
     try:
         r = float(fields.get("r", "0"))
         k = int(fields.get("k", "0"))
@@ -190,7 +211,7 @@ def _cmd_benford(args, cfg: RunConfig) -> int:
         _, values = load_signal_csv(args.signal_csv)
         report = benford_report_from_samples(values, config=cfg)
     else:
-        if args.synthetic:
+        if args.synthetic is not None:
             spec = _parse_synthetic(args.synthetic)
         else:
             matrix, _ = load_matrix(args.matrix)

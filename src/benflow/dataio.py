@@ -101,7 +101,7 @@ def parse_exact_spectrum(annotation: dict) -> list[ExactComplex]:
         for label, raw in obj.items():
             mono = parse_monomial_label(label)
             try:
-                value = Fraction(raw) if isinstance(raw, str) else Fraction(raw)
+                value = Fraction(raw)
             except (ValueError, ZeroDivisionError):
                 raise UsageError(f"bad rational coordinate {raw!r}") from None
             terms[mono] = value
@@ -119,7 +119,7 @@ def load_matrix(path: str | Path) -> tuple[np.ndarray, dict | None]:
     """Read a matrix file; returns (matrix, exact annotation or None)."""
     path = Path(path)
     text = path.read_text(encoding="utf-8")
-    if path.suffix.lower() == ".json" or text.lstrip()[:1] in "[{":
+    if path.suffix.lower() == ".json" or text.lstrip()[:1] in ("[", "{"):
         data = _parse_json(text, path)
         if isinstance(data, dict):
             if "matrix" not in data:

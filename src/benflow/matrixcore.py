@@ -88,9 +88,11 @@ class SpectrumInfo:
 def _cluster_eigenvalues(eigs: np.ndarray, thr: float) -> list[tuple[complex, int]]:
     """Greedy single-linkage clustering of computed eigenvalues.
 
-    Returns (representative, multiplicity) pairs; representatives are
-    cluster means, symmetrized so conjugate clusters pair up exactly
-    and near-real clusters become real.
+    Returns (cluster mean, multiplicity) pairs sorted by (Re, Im), a mean
+    made real when |Im| <= thr.  No conjugate repair is needed: for a real
+    matrix, dgeev returns each complex pair as exact conjugates in adjacent
+    slots and single linkage commutes with conjugation, so mirror clusters
+    sum partners in the same order and their means are exact conjugates.
     """
     n = eigs.size
     parent = list(range(n))
@@ -108,29 +110,12 @@ def _cluster_eigenvalues(eigs: np.ndarray, thr: float) -> list[tuple[complex, in
     groups: dict[int, list[complex]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(complex(eigs[i]))
-    reps = [(sum(g) / len(g), len(g)) for g in groups.values()]
-    # realify near-real clusters
-    cleaned = []
-    for z, m in reps:
-        if abs(z.imag) <= thr:
-            z = complex(z.real, 0.0)
-        cleaned.append((z, m))
-    # symmetrize conjugate pairs so Re parts agree bitwise
-    used = [False] * len(cleaned)
-    for i, (z, m) in enumerate(cleaned):
-        if used[i] or z.imag == 0.0:
-            continue
-        for j in range(i + 1, len(cleaned)):
-            zj, mj = cleaned[j]
-            if not used[j] and abs(zj - z.conjugate()) <= 2 * thr and mj == m:
-                re = 0.5 * (z.real + zj.real)
-                im = 0.5 * (abs(z.imag) + abs(zj.imag))
-                cleaned[i] = (complex(re, im if z.imag > 0 else -im), m)
-                cleaned[j] = (complex(re, -im if z.imag > 0 else im), mj)
-                used[i] = used[j] = True
-                break
-    cleaned.sort(key=lambda pair: (pair[0].real, pair[0].imag))
-    return cleaned
+    clusters = []
+    for g in groups.values():
+        z = sum(g) / len(g)
+        clusters.append((complex(z.real, 0.0) if abs(z.imag) <= thr else z, len(g)))
+    clusters.sort(key=lambda pair: (pair[0].real, pair[0].imag))
+    return clusters
 
 
 def _rank(mat: np.ndarray, tol: float, noise_floor: float) -> int:
@@ -191,9 +176,9 @@ def jordan_index(a: np.ndarray, z: complex, tol: float = _RANK_TOL, *, branch_to
 def spectrum(a: np.ndarray, tol: float = _DEFAULT_TOL.eigen_cluster) -> SpectrumInfo:
     """Distinct eigenvalues with multiplicities, Jordan indices, dominant set.
 
-    Computed eigenvalues are clustered at relative gap tol * ||A||;
-    conjugate clusters are symmetrized so the spectrum of a real matrix
-    is exactly closed under conjugation.
+    Computed eigenvalues are clustered at relative gap tol * ||A||; the
+    spectrum of a real matrix comes out exactly closed under conjugation
+    (see _cluster_eigenvalues).
     """
     a = as_square_matrix(a)
     if tol <= 0:

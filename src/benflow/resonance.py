@@ -147,14 +147,13 @@ def is_b_nonresonant(points: Iterable[ShellPoint], b: int) -> ResonanceVerdict:
     if not pts:
         return ResonanceVerdict(False, None, (), "empty set is nonresonant")
     basis = pts[0].log_modulus.basis
+    shells: dict[tuple, list[ShellPoint]] = {}
     for p in pts:
         if p.log_modulus.basis != basis:
             raise UsageError("all shell points must share one symbol basis")
-    assumptions = (basis.assumption(),)
-    shells: dict[tuple, list[ShellPoint]] = {}
-    for p in pts:
         shells.setdefault(p.log_modulus.coords, []).append(p)
-    for coords, shell in shells.items():
+    assumptions = (basis.assumption(),)
+    for shell in shells.values():
         # (i) rational argument differences only when zero
         for i, zi in enumerate(shell):
             for zj in shell[i + 1 :]:
@@ -196,15 +195,6 @@ def _lnb_over_pi_times(x: ExactReal, b: int) -> dict[Monomial, Fraction]:
     return mul_symbol(x.as_terms(), factor)
 
 
-def _check_conjugate_closed(zs: Sequence[ExactComplex]) -> None:
-    for z in zs:
-        if not any(w.re.coords == z.re.coords and (w.im + z.im).is_zero for w in zs):
-            raise UsageError(
-                "set must be closed under complex conjugation for the "
-                "exponential-resonance criterion to apply"
-            )
-
-
 def is_exp_b_nonresonant(zs: Iterable[ExactComplex], b: int) -> ResonanceVerdict:
     """Decide exponential nonresonance of a conjugate-closed exact set.
 
@@ -220,18 +210,21 @@ def is_exp_b_nonresonant(zs: Iterable[ExactComplex], b: int) -> ResonanceVerdict
             True, None, (), "empty set: no time rescaling can make it nonresonant"
         )
     basis = elements[0].basis
+    groups: dict[tuple, list[ExactComplex]] = {}
     for z in elements:
         if z.basis != basis:
             raise UsageError("all elements must share one symbol basis")
-    _check_conjugate_closed(elements)
+        groups.setdefault(z.re.coords, []).append(z)
+    for group in groups.values():
+        ims = {w.im.coords for w in group}
+        if any((-w.im).coords not in ims for w in group):
+            raise UsageError(
+                "set must be closed under complex conjugation for the "
+                "exponential-resonance criterion to apply"
+            )
     assumptions = (basis.assumption(),)
-    done: set[tuple] = set()
-    for z in elements:
-        key = z.re.coords
-        if key in done:
-            continue
-        done.add(key)
-        group = [w for w in elements if w.re.coords == key]
+    for group in groups.values():
+        z = group[0]
         if z.re.is_zero:
             return ResonanceVerdict(
                 True,
@@ -338,10 +331,9 @@ def numeric_relation_scan(
     scale = max(scale, 1.0)
     groups: list[list[complex]] = []
     for z in elements:
-        for g in groups:
-            if abs(z.real - g[0].real) <= group_tol * scale:
-                g.append(z)
-                break
+        # sorted by Re, anchors over group_tol * scale apart: no earlier group can match
+        if groups and abs(z.real - groups[-1][0].real) <= group_tol * scale:
+            groups[-1].append(z)
         else:
             groups.append([z])
     for group in groups:

@@ -252,6 +252,25 @@ class TestBenfordCommand:
         code, _, err = run_cli(capsys, "benford", "--synthetic", "r=banana")
         assert code == EXIT_USAGE
 
+    def test_synthetic_comma_modes_equal_semicolon_modes(self, capsys):
+        runs = [
+            run_cli(capsys, "--horizon", "1000", "benford", "--synthetic", spec)
+            for spec in ("r=1,k=0,modes=0:1,2:0.5", "r=1,k=0,modes=0:1;2:0.5", "r=1,k=0,modes=0:1")
+        ]
+        assert runs[0][0] == EXIT_OK
+        assert runs[0] == runs[1]
+        assert runs[0][1] != runs[2][1]  # the second mode is not dropped
+
+    @pytest.mark.parametrize(
+        "spec, part",
+        [("banana", "banana"), ("r=1,mode=0:1", "mode=0:1"), ("r=1,r=2", "r=2"), ("r=1,2:0.5", "2:0.5"), ("", "")],
+    )
+    def test_malformed_synthetic_spec_names_part_exit_2(self, capsys, spec, part):
+        code, out, err = run_cli(capsys, "--horizon", "1000", "benford", "--synthetic", spec)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"unexpected {part!r}" in err
+
 
 class TestExampleCommand:
     def test_known_example_passes(self, capsys):
@@ -400,6 +419,14 @@ class TestDataIO:
     def test_unknown_fixture_lists_available(self):
         with pytest.raises(UsageError, match="available"):
             fixture_text("nope.json")
+
+    @pytest.mark.parametrize("text", ["", " \n\n\t\n"])
+    def test_empty_csv_matrix_exit_2(self, capsys, tmp_path, text):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        code, _, err = run_cli(capsys, "analyze-matrix", str(path))
+        assert code == EXIT_USAGE
+        assert "empty matrix file" in err
 
     def test_load_matrix_object_form(self, tmp_path):
         path = tmp_path / "m.json"

@@ -98,6 +98,25 @@ class TestSpectrum:
                     partner = [q for q in points if q.z == p.z.conjugate()]
                     assert len(partner) == 1 and partner[0].m == p.m
 
+    def test_conjugate_clusters_with_multiplicity_exact(self):
+        # diag(R, R) under similarity: two exactly conjugate clusters, m = 2 each
+        r = np.array([[1.0, -2.0], [2.0, 1.0]])
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            p = rng.standard_normal((4, 4)) + 3 * np.eye(4)
+            points = spectrum(p @ np.kron(np.eye(2), r) @ np.linalg.inv(p)).points
+            assert [q.m for q in points] == [2, 2]
+            low, high = points
+            assert low.z == high.z.conjugate() and low.z.imag < 0
+            assert abs(high.z - (1 + 2j)) < 1e-8
+
+    def test_near_real_pair_becomes_one_real_cluster(self):
+        a = np.array([[1.0, -1e-14], [1e-14, 1.0]])
+        assert np.all(np.linalg.eigvals(a).imag != 0.0)  # a computed complex pair
+        points = spectrum(a).points
+        assert [(q.z, q.m) for q in points] == [(1 + 0j, 2)]
+        assert points[0].z.imag == 0.0
+
     def test_multiplicities_sum_to_dimension(self):
         rng = np.random.default_rng(11)
         for _ in range(20):

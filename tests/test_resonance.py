@@ -81,6 +81,22 @@ class TestExponentialNonresonance:
         with pytest.raises(UsageError, match="conjugation"):
             is_exp_b_nonresonant([lone], 10)
 
+    def test_conjugate_under_other_real_part_rejected(self):
+        # {1 + i, 2 - i}: each Im has its negative, but under the other real part
+        basis = SymbolBasis.default(10)
+        zs = [
+            ExactComplex(basis.rational(1), basis.rational(1)),
+            ExactComplex(basis.rational(2), basis.rational(-1)),
+        ]
+        with pytest.raises(UsageError, match="conjugation"):
+            is_exp_b_nonresonant(zs, 10)
+
+    def test_mixed_bases_reported_before_open_set(self):
+        b10 = SymbolBasis.default(10)
+        lone = ExactComplex(b10.rational(1), b10.term(PI, 1))
+        with pytest.raises(UsageError, match="share one symbol basis"):
+            is_exp_b_nonresonant([lone] + scalar_set(SymbolBasis.default(2), 2), 10)
+
     def test_mixed_bases_rejected(self):
         b10 = SymbolBasis.default(10)
         b2 = SymbolBasis.default(2)
@@ -393,3 +409,23 @@ class TestNumericRelationScan:
         zs = [complex(re, s * im) for im in (1.0, 2.0, math.e) for s in (1, -1)]
         assert numeric_relation_scan(zs, 10, 8) is None
         assert found[0] is not None and found[0][0] == 0
+
+    def test_chained_real_parts_split_at_anchor_distance(self, monkeypatch):
+        # Re x, x + 0.6 g, x + 1.2 g with g = group_tol * scale: the middle one
+        # joins x, the last is over g from the anchor x and opens a second group
+        scanned = []
+        real = resonance._scan_group
+
+        def spy(re, gens, height):
+            scanned.append((re, len(gens)))
+            return real(re, gens, height)
+
+        monkeypatch.setattr(resonance, "_scan_group", spy)
+        factor = LN10 / math.pi
+        ims = (1.0, math.sqrt(2), math.sqrt(3))  # no relation with Re
+        scale = max(ims) * factor
+        g = 1e-9 * scale
+        res = [1.0, 1.0 + 0.6 * g, 1.0 + 1.2 * g]
+        zs = [complex(re, im) for re, im in zip(res, ims)]
+        assert numeric_relation_scan(zs, 10, 8, group_tol=1e-9) is None
+        assert scanned == [(res[0] / scale, 2), (res[2] / scale, 1)]
