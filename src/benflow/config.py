@@ -8,9 +8,12 @@ config file into them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import numbers
+from dataclasses import asdict, dataclass, field
 
 from .errors import UsageError
+from .significand import validate_base
 from .udmod1 import SamplingGrid
 
 
@@ -40,12 +43,27 @@ class Tolerances:
     hyperbolicity: float = 1e-9
 
 
+def _require_finite(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise UsageError(f"{name} must be a finite number, got {value!r}")
+
+
+def _require_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise UsageError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Every setting of a run: the one place verdict defaults live.
 
     The verdict entry points read the base, the sampling grid, the
-    thresholds and the number of Weyl frequencies from here.
+    thresholds and the number of Weyl frequencies from here.  Each field
+    is checked once, on construction: base is an integer >= 2; horizon
+    and step are finite with 0 < step < horizon; weyl_k >= 1 and seed in
+    [0, 2^128), the Philox key range, are integers; every threshold and
+    tolerance is finite and > 0, and zero_rel < 1.  Bools are refused
+    wherever a number is asked for.
     """
 
     base: int = 10
@@ -58,12 +76,24 @@ class RunConfig:
     output_format: str = "json"
 
     def __post_init__(self):
-        if self.base < 2:
-            raise UsageError(f"base must be >= 2, got {self.base}")
+        validate_base(self.base)
+        for name in ("horizon", "step"):
+            _require_finite(name, getattr(self, name))
         if self.horizon <= 0 or self.step <= 0 or self.step >= self.horizon:
             raise UsageError("need 0 < step < horizon")
+        for name in ("weyl_k", "seed"):
+            _require_int(name, getattr(self, name))
         if self.weyl_k < 1:
             raise UsageError("weyl_k must be >= 1")
+        if not 0 <= self.seed < 2**128:
+            raise UsageError(f"seed must lie in [0, 2^128), the Philox key range, got {self.seed}")
+        for group in ("thresholds", "tolerances"):
+            for name, value in asdict(getattr(self, group)).items():
+                _require_finite(f"{group}.{name}", value)
+                if value <= 0:
+                    raise UsageError(f"{group}.{name} must be > 0, got {value!r}")
+        if self.thresholds.zero_rel >= 1:
+            raise UsageError(f"thresholds.zero_rel must be < 1, got {self.thresholds.zero_rel!r}")
         if self.output_format not in ("json", "csv"):
             raise UsageError(f"unknown output format {self.output_format!r}")
 

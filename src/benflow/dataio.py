@@ -44,7 +44,7 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import UsageError
-from .exactreal import ExactComplex, ExactReal, Monomial, ONE, SymbolBasis
+from .exactreal import ExactComplex, ExactReal, Monomial, ONE, SymbolBasis, stock_atom_value
 
 
 def parse_monomial_label(label: str) -> Monomial:
@@ -67,27 +67,34 @@ def parse_monomial_label(label: str) -> Monomial:
     return Monomial.of(**powers)
 
 
-def _stock_atom_value(atom: str) -> float | None:
-    if atom == "pi":
-        return math.pi
-    if atom.startswith("ln") and atom[2:].isdigit():
-        return math.log(int(atom[2:]))
-    return None
+def _finite_float(what: str, raw) -> float:
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        value = math.nan
+    if isinstance(raw, bool) or not math.isfinite(value):
+        raise UsageError(f"{what} needs a finite number, got {raw!r}")
+    return value
 
 
 def parse_exact_spectrum(annotation: dict) -> list[ExactComplex]:
     """Build the annotated eigenvalue set over a basis derived from it."""
-    if not isinstance(annotation, dict) or "eigenvalues" not in annotation:
+    if not isinstance(annotation, dict) or not isinstance(annotation.get("eigenvalues"), list):
         raise UsageError("exact_spectrum must be an object with an 'eigenvalues' list")
     symbol_labels = annotation.get("symbols", [])
+    if not isinstance(symbol_labels, list) or not all(isinstance(s, str) for s in symbol_labels):
+        raise UsageError(f"exact_spectrum 'symbols' must be a list of labels, got {symbol_labels!r}")
     monomials = [parse_monomial_label(s) for s in symbol_labels]
-    declared = {str(k): float(v) for k, v in annotation.get("atoms", {}).items()}
+    atoms = annotation.get("atoms", {})
+    if not isinstance(atoms, dict):
+        raise UsageError(f"exact_spectrum 'atoms' must be an object of atom values, got {atoms!r}")
+    declared = {atom: _finite_float(f"exact_spectrum atom {atom!r}", raw) for atom, raw in atoms.items()}
     atom_values: dict[str, float] = {}
     for mono in monomials:
         for atom, _ in mono.powers:
             if atom in atom_values:
                 continue
-            value = declared.get(atom, _stock_atom_value(atom))
+            value = declared.get(atom, stock_atom_value(atom))
             if value is None:
                 raise UsageError(f"atom {atom!r} needs a numeric value in 'atoms'")
             atom_values[atom] = value
@@ -102,8 +109,8 @@ def parse_exact_spectrum(annotation: dict) -> list[ExactComplex]:
             mono = parse_monomial_label(label)
             try:
                 value = Fraction(raw)
-            except (ValueError, ZeroDivisionError):
-                raise UsageError(f"bad rational coordinate {raw!r}") from None
+            except (ValueError, TypeError, OverflowError, ZeroDivisionError):
+                raise UsageError(f"bad rational coordinate {raw!r} for symbol {label!r}") from None
             terms[mono] = value
         return basis.combination(terms)
 

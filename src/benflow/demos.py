@@ -5,7 +5,10 @@ flow or exact spectrum in question, runs the relevant analyses, and
 compares the outcome against the documented expectation.  The CLI
 exposes these as `benflow example <id>`; a failed expectation exits
 nonzero.  Scenario-specific constants (horizons, bases, bounds) that
-define the scenario are fixed here rather than read from the config.
+define the scenario are fixed here rather than read from the config,
+and so are the reference flows the scenarios are built on: the ex-3-5
+generator with its real mode ln 10 - 1/2, the spirals phi and psi, and
+their closed-form norms.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import UsageError
-from .exactreal import ExactComplex, Monomial, PI, SymbolBasis
+from .exactreal import ExactComplex, Monomial, PI, SymbolBasis, ln_atom
 from .flowsignal import (
     NormOnFlow,
     Observable,
@@ -30,8 +33,6 @@ from .flowsignal import (
     benford_report_from_log_samples,
     benford_verdict,
     eval_signal,
-    frobenius_example_generator,
-    frobenius_norm_signal_3x3_example,
     triviality_check,
 )
 from .matrixcore import companion_from_second_order, planar_criterion, spectrum
@@ -40,6 +41,7 @@ from .significand import digit_frequencies, digit_law_pmf
 from .udmod1 import SamplingGrid, pushforward_fourier
 
 _LN10 = math.log(10)
+_ALPHA = _LN10 - 0.5  # the real mode of the ex-3-5 reference flow
 
 
 @dataclass
@@ -54,7 +56,7 @@ class DemoResult:
 
 
 # ---------------------------------------------------------------------------
-# exact spectrum builders
+# exact spectra and reference flows (the fixed generators the examples are built on)
 
 
 def scalar_set(value, b: int) -> list[ExactComplex]:
@@ -71,23 +73,32 @@ def rotation_set_pi(alpha, b: int) -> list[ExactComplex]:
 
 def resonant_spiral_set(b: int) -> list[ExactComplex]:
     """{1 + 2 pi i / ln b, 1 - 2 pi i / ln b}: the resonant spiral pair."""
-    mono = Monomial.of(pi=1, **{f"ln{b}": -1})
+    mono = Monomial.of(pi=1, **{ln_atom(b): -1})
     basis = SymbolBasis.default(b).extended(mono)
     z = ExactComplex(basis.rational(1), basis.term(mono, 2))
     return [z, z.conjugate()]
 
 
 def three_mode_set(b: int) -> list[ExactComplex]:
-    """{1 +- i pi, ln 10 - 1/2} over symbols {1, pi, ln10}."""
-    basis = SymbolBasis.default(10)
-    if b != 10:
-        basis = SymbolBasis.default(b).extended(
-            Monomial.of(ln10=1), ln10=math.log(10)
-        )
-    ln10_mono = Monomial.of(ln10=1)
+    """{1 +- i pi, ln 10 - 1/2} over the default symbols {1, pi, ln b} and ln10."""
+    ln10 = Monomial.of(ln10=1)
+    basis = SymbolBasis.default(b).extended(ln10, ln10=_LN10)
     z = ExactComplex(basis.rational(1), basis.term(PI, 1))
-    alpha = basis.rational(Fraction(-1, 2)) + basis.term(ln10_mono, 1)
+    alpha = basis.rational(Fraction(-1, 2)) + basis.term(ln10, 1)
     return [z, z.conjugate(), ExactComplex(alpha, basis.zero())]
+
+
+def frobenius_example_generator() -> np.ndarray:
+    """The ex-3-5 reference generator: a spiral block plus the real mode alpha."""
+    return np.array([[1.0, -math.pi, 0.0], [math.pi, 1.0, 0.0], [0.0, 0.0, _ALPHA]])
+
+
+def frobenius_norm_signal_3x3_example(t) -> np.ndarray | float:
+    """Closed form sqrt(2 e^{2t} + e^{2 alpha t}) of the ex-3-5 reference
+    flow's Frobenius norm, with alpha = ln 10 - 1/2."""
+    t_arr = np.asarray(t, dtype=float)
+    out = np.sqrt(2.0 * np.exp(2.0 * t_arr) + np.exp(2.0 * _ALPHA * t_arr))
+    return float(out) if out.ndim == 0 else out
 
 
 def spiral_generators() -> tuple[np.ndarray, np.ndarray]:
@@ -97,29 +108,27 @@ def spiral_generators() -> tuple[np.ndarray, np.ndarray]:
     return phi, psi
 
 
+def _psi_gram(x: np.ndarray) -> np.ndarray:
+    """The psi Gram term 25 - 9 cos 4 pi x + 3 |sin 2 pi x| sqrt(82 - 18 cos 4 pi x),
+    which is 16 e^{-2t} ||e^{t psi}||_2^2 at x = t / ln 10."""
+    cos_4pi_x = np.cos(4 * np.pi * x)
+    return 25.0 - 9.0 * cos_4pi_x + 3.0 * np.abs(np.sin(2 * np.pi * x)) * np.sqrt(82.0 - 18.0 * cos_4pi_x)
+
+
 def psi_norm_map(x: np.ndarray) -> np.ndarray:
     """Circle map carrying the log10 spectral norm of the second spiral."""
-    inner = (
-        25.0
-        - 9.0 * np.cos(4 * np.pi * x)
-        + 3.0 * np.abs(np.sin(2 * np.pi * x)) * np.sqrt(82.0 - 18.0 * np.cos(4 * np.pi * x))
-    )
-    return np.mod(x + 0.5 * np.log10(inner), 1.0)
+    return np.mod(x + 0.5 * np.log10(_psi_gram(x)), 1.0)
 
 
 def psi_norm_closed_form(t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=float)
-    return (
-        np.exp(t)
-        / 4.0
-        * np.sqrt(
-            25.0
-            - 9.0 * np.cos(4 * np.pi * t / _LN10)
-            + 3.0
-            * np.abs(np.sin(2 * np.pi * t / _LN10))
-            * np.sqrt(82.0 - 18.0 * np.cos(4 * np.pi * t / _LN10))
-        )
-    )
+    return np.exp(t) / 4.0 * np.sqrt(_psi_gram(t / _LN10))
+
+
+def _closed_form_rel_err(spec, closed: Callable[[np.ndarray], np.ndarray], ts: np.ndarray) -> float:
+    """Largest relative gap between a closed form and `eval_signal` on ts."""
+    exact = closed(ts)
+    return float(np.max(np.abs(exact - np.array([eval_signal(spec, t) for t in ts])) / exact))
 
 
 # ---------------------------------------------------------------------------
@@ -188,13 +197,12 @@ def _run_ex_3_4_ii(config: RunConfig) -> DemoResult:
 def ex_3_5_log_fixtures(t: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
     """log_b of the 3d reference flow's Frobenius norm sqrt(2 e^{2t} + e^{2at}), a = ln 10 - 1/2,
     and of its cubic composite e^{(1+2a)t} cos(pi t) (3 - 3 e^{-(a-1)t} cos(pi t) + e^{-2(a-1)t} cos(pi t)^2)."""
-    alpha = _LN10 - 0.5
     lnb = math.log(b)
-    norm_logb = (alpha * t + 0.5 * np.log1p(2.0 * np.exp(-2.0 * (alpha - 1.0) * t))) / lnb
+    norm_logb = (_ALPHA * t + 0.5 * np.log1p(2.0 * np.exp(-2.0 * (_ALPHA - 1.0) * t))) / lnb
     cos_t = np.cos(np.pi * t)
-    tail = 3.0 - 3.0 * np.exp(-(alpha - 1.0) * t) * cos_t + np.exp(-2.0 * (alpha - 1.0) * t) * cos_t**2
+    tail = 3.0 - 3.0 * np.exp(-(_ALPHA - 1.0) * t) * cos_t + np.exp(-2.0 * (_ALPHA - 1.0) * t) * cos_t**2
     with np.errstate(divide="ignore"):
-        cubic_logb = ((1.0 + 2.0 * alpha) * t + np.log(np.abs(cos_t)) + np.log(np.abs(tail))) / lnb
+        cubic_logb = ((1.0 + 2.0 * _ALPHA) * t + np.log(np.abs(cos_t)) + np.log(np.abs(tail))) / lnb
     return norm_logb, cubic_logb
 
 
@@ -202,11 +210,8 @@ def _run_ex_3_5(config: RunConfig) -> DemoResult:
     """3d reference flow: nonresonant spectrum, norm conforms, but a cubic
     composite observable of the same flow does not."""
     exact_ok = all(not is_exp_b_nonresonant(three_mode_set(b), b).resonant for b in (2, 10))
-    gen = frobenius_example_generator()
-    ts = np.linspace(0.0, 10.0, 101)
-    closed = frobenius_norm_signal_3x3_example(ts)
-    direct = np.array([eval_signal(NormOnFlow(gen, "frobenius"), t) for t in ts])
-    closed_form_err = float(np.max(np.abs(closed - direct) / closed))
+    frobenius = NormOnFlow(frobenius_example_generator(), "frobenius")
+    closed_form_err = _closed_form_rel_err(frobenius, frobenius_norm_signal_3x3_example, np.linspace(0.0, 10.0, 101))
     # the cubic composite is a base-10 counterexample, built and judged in base 10
     times = config.grid.times()
     norm_logb, cubic_logb = ex_3_5_log_fixtures(times, config.base)
@@ -333,18 +338,8 @@ def _run_ex_3_14(config: RunConfig) -> DemoResult:
         abs(p.z - q.z) < 1e-9 for p, q in zip(spec_phi.points, spec_psi.points)
     )
     ts = np.linspace(0.1, 5.0, 37)
-    phi_norm_err = max(
-        abs(eval_signal(NormOnFlow(phi, "spectral"), t) - math.exp(t)) / math.exp(t) for t in ts
-    )
-    psi_norm_err = float(
-        np.max(
-            np.abs(
-                np.array([eval_signal(NormOnFlow(psi, "spectral"), t) for t in ts])
-                - psi_norm_closed_form(ts)
-            )
-            / psi_norm_closed_form(ts)
-        )
-    )
+    phi_norm_err = _closed_form_rel_err(NormOnFlow(phi, "spectral"), np.exp, ts)
+    psi_norm_err = _closed_form_rel_err(NormOnFlow(psi, "spectral"), psi_norm_closed_form, ts)
     ten = replace(config, base=10)
     phi_report = benford_verdict(NormOnFlow(phi, "spectral"), config=ten)
     psi_report = benford_verdict(NormOnFlow(psi, "spectral"), config=ten)

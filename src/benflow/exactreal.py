@@ -73,7 +73,16 @@ PI = Monomial.of(pi=1)
 
 
 def ln_atom(b: int) -> str:
+    """The name of the atom ln b; every log-atom name is spelled here."""
     return f"ln{b}"
+
+
+def stock_atom_value(atom: str) -> float | None:
+    """The value of a stock atom, "pi" or "ln<n>" for n >= 1; None otherwise."""
+    n = atom[2:]
+    if atom == ln_atom(n) and n.isdigit() and int(n) > 0:
+        return math.log(int(n))
+    return math.pi if atom == "pi" else None
 
 
 @dataclass(frozen=True)
@@ -99,7 +108,7 @@ class SymbolBasis:
         lb = ln_atom(b)
         return cls(
             symbols=(ONE, PI, Monomial.of(**{lb: 1})),
-            atom_values=(("pi", math.pi), (lb, math.log(b))),
+            atom_values=tuple((atom, stock_atom_value(atom)) for atom in ("pi", lb)),
         )
 
     @property

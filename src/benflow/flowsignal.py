@@ -45,7 +45,7 @@ from .config import RunConfig, VerdictThresholds
 from .errors import DomainError, UnsupportedStructureError, UsageError
 from .matrixcore import as_square_matrix, expm, spectrum
 from .significand import DigitHistogram, digit_counts, fractions_of_logs, log_fractions, uniform_distance, validate_base
-from .udmod1 import SamplingGrid, WeylReport
+from .udmod1 import MIN_SAMPLES, SamplingGrid, WeylReport
 
 _EIG_COND_LIMIT = 1e8
 _CHUNK = 200_000
@@ -147,24 +147,6 @@ def eval_signal(spec: SignalSpec, t: float) -> float:
     if isinstance(spec, ObservableOnFlow):
         return spec.observable(expm(spec.generator, t))
     return _matrix_norm(expm(spec.generator, t), spec.norm)
-
-
-_FROBENIUS_EXAMPLE_ALPHA = math.log(10) - 0.5
-
-
-def frobenius_example_generator() -> np.ndarray:
-    """Fixed 3x3 reference generator: a spiral block plus a real mode."""
-    a = _FROBENIUS_EXAMPLE_ALPHA
-    return np.array([[1.0, -math.pi, 0.0], [math.pi, 1.0, 0.0], [0.0, 0.0, a]])
-
-
-def frobenius_norm_signal_3x3_example(t) -> np.ndarray | float:
-    """Closed form sqrt(2 e^{2t} + e^{2 a t}) of the reference flow's
-    Frobenius norm, with a = ln 10 - 1/2."""
-    a = _FROBENIUS_EXAMPLE_ALPHA
-    t_arr = np.asarray(t, dtype=float)
-    out = np.sqrt(2.0 * np.exp(2.0 * t_arr) + np.exp(2.0 * a * t_arr))
-    return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -557,8 +539,8 @@ def benford_report_from_samples(
     config = config or RunConfig()
     b = validate_base(config.base if b is None else b)
     arr = np.asarray(values, dtype=float)
-    if arr.size < 100:
-        raise UsageError("need at least 100 samples for a verdict")
+    if arr.size < MIN_SAMPLES:
+        raise UsageError(f"need at least {MIN_SAMPLES} samples for a verdict")
     if not np.all(np.isfinite(arr)):
         raise DomainError("signal values must be finite")
     with np.errstate(divide="ignore"):
@@ -585,8 +567,8 @@ def benford_report_from_log_samples(
     config = config or RunConfig()
     b = validate_base(config.base if b is None else b)
     arr = np.asarray(logb_values, dtype=float)
-    if arr.size < 100:
-        raise UsageError("need at least 100 samples for a verdict")
+    if arr.size < MIN_SAMPLES:
+        raise UsageError(f"need at least {MIN_SAMPLES} samples for a verdict")
     if np.any(np.isnan(arr)) or np.any(arr == np.inf):
         raise DomainError("log samples must be finite or -inf")
     return _verdict_from_logb(

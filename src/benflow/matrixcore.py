@@ -93,6 +93,9 @@ def _cluster_eigenvalues(eigs: np.ndarray, thr: float) -> list[tuple[complex, in
     matrix, dgeev returns each complex pair as exact conjugates in adjacent
     slots and single linkage commutes with conjugation, so mirror clusters
     sum partners in the same order and their means are exact conjugates.
+    Mirror clusters whose means are made real thus get equal means, and
+    merge into one point with the summed multiplicity: a double eigenvalue
+    that dgeev splits into x +- iy with 2y > thr >= y is one point, not two.
     """
     n = eigs.size
     parent = list(range(n))
@@ -110,12 +113,12 @@ def _cluster_eigenvalues(eigs: np.ndarray, thr: float) -> list[tuple[complex, in
     groups: dict[int, list[complex]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(complex(eigs[i]))
-    clusters = []
+    clusters: dict[complex, int] = {}
     for g in groups.values():
         z = sum(g) / len(g)
-        clusters.append((complex(z.real, 0.0) if abs(z.imag) <= thr else z, len(g)))
-    clusters.sort(key=lambda pair: (pair[0].real, pair[0].imag))
-    return clusters
+        z = complex(z.real, 0.0) if abs(z.imag) <= thr else z
+        clusters[z] = clusters.get(z, 0) + len(g)
+    return sorted(clusters.items(), key=lambda pair: (pair[0].real, pair[0].imag))
 
 
 def _rank(mat: np.ndarray, tol: float, noise_floor: float) -> int:
@@ -178,7 +181,10 @@ def spectrum(a: np.ndarray, tol: float = _DEFAULT_TOL.eigen_cluster) -> Spectrum
 
     Computed eigenvalues are clustered at relative gap tol * ||A||; the
     spectrum of a real matrix comes out exactly closed under conjugation
-    (see _cluster_eigenvalues).
+    (see _cluster_eigenvalues).  A point of multiplicity m > 1 whose
+    B = A - zI (or quadratic factor) keeps full rank at jordan_index's
+    cutoff, such as the pair 1 +- 1e-10 i of a near-identity rotation,
+    gets k = 0: no rank drop means no Jordan block is visible at z.
     """
     a = as_square_matrix(a)
     if tol <= 0:
@@ -193,7 +199,10 @@ def spectrum(a: np.ndarray, tol: float = _DEFAULT_TOL.eigen_cluster) -> Spectrum
     notes: list[str] = []
     points = []
     for z, m in clusters:
-        k = jordan_index(a, z, branch_tol=thr) if m > 1 else 0
+        try:
+            k = jordan_index(a, z, branch_tol=thr) if m > 1 else 0
+        except DomainError:  # no rank drop at z: the cluster is semisimple
+            k = 0
         if m > 1 and z.imag == 0.0 and any(abs(w - z) <= 2 * thr and w.imag != 0 for w, _ in clusters):
             notes.append(f"eigenvalue {z}: real rank branch chosen with |Im| <= {thr:g}")
         points.append(SpectrumPoint(z=z, m=m, k=min(k, m - 1)))

@@ -31,6 +31,7 @@ from .exactreal import (
     ExactComplex,
     ExactReal,
     Monomial,
+    ln_atom,
     membership_over_monomials,
     mul_symbol,
     span_membership,
@@ -191,7 +192,7 @@ def is_b_nonresonant(points: Iterable[ShellPoint], b: int) -> ResonanceVerdict:
 
 
 def _lnb_over_pi_times(x: ExactReal, b: int) -> dict[Monomial, Fraction]:
-    factor = Monomial.of(pi=-1, **{f"ln{b}": 1})
+    factor = Monomial.of(pi=-1, **{ln_atom(b): 1})
     return mul_symbol(x.as_terms(), factor)
 
 
@@ -289,6 +290,9 @@ class IntegerRelation:
 
 
 _RESIDUAL_TOL = 1e-9
+# PSLQ acceptance on the scale-normalised values: a relation among float
+# inputs holds only to about 1e-16, never to mpmath's default 2^(-0.75 prec)
+_PSLQ_TOL = mpmath.mpf(2) ** -40
 
 
 def _rational_fit(ratio: float, height: int) -> tuple[int, int] | None:
@@ -300,11 +304,18 @@ def _rational_fit(ratio: float, height: int) -> tuple[int, int] | None:
 
 
 def _pslq_relation(values: list[mpmath.mpf], height: int) -> list[int] | None:
+    """An integer relation among the values with every |coeff| <= height.
+
+    mpmath gives up once its lower bound on the Euclidean norm of any
+    relation reaches maxcoeff, so it gets height * sqrt(n), above the norm
+    of every relation that fits, and the height itself is checked here.
+    """
+    maxcoeff = math.ceil(height * math.sqrt(len(values)))
     try:
-        rel = mpmath.pslq(values, maxcoeff=height, maxsteps=10000)
+        rel = mpmath.pslq(values, tol=_PSLQ_TOL, maxcoeff=maxcoeff, maxsteps=10000)
     except ValueError:
         return None
-    return list(rel) if rel is not None else None
+    return list(rel) if rel is not None and max(map(abs, rel)) <= height else None
 
 
 def numeric_relation_scan(

@@ -38,25 +38,13 @@ def validate_base(b: int) -> int:
     return int(b)
 
 
-def _compare_with_power(mant: int, exp2: int, b: int, k: int) -> int:
-    """Sign of mant * 2^exp2 - b^k using exact integer arithmetic."""
-    if k >= 0:
-        if exp2 >= 0:
-            lhs, rhs = mant << exp2, b**k
-        else:
-            lhs, rhs = mant, b**k << (-exp2)
-    else:
-        if exp2 >= 0:
-            lhs, rhs = (mant << exp2) * b ** (-k), 1
-        else:
-            lhs, rhs = mant * b ** (-k), 1 << (-exp2)
-    return (lhs > rhs) - (lhs < rhs)
-
-
 def significand(x: float, b: int = 10) -> float:
     """Return S_b(x): the significand of x in base b, with S_b(0) = 0.
 
-    Correctly rounded.  Raises DomainError for non-finite x.
+    Correctly rounded.  Raises DomainError for non-finite x.  The exponent
+    k = floor(log_b |x|) is guessed from floats, then fixed by comparing
+    the exact rationals |x| and b^k; S = |x| / b^k is one exact division,
+    rounded once.
     """
     b = validate_base(b)
     x = float(x)
@@ -64,17 +52,13 @@ def significand(x: float, b: int = 10) -> float:
         raise DomainError(f"significand requires finite x, got {x}")
     if x == 0.0:
         return 0.0
-    a = abs(x)
-    m, e2 = math.frexp(a)  # a == m * 2**e2 with m in [0.5, 1)
-    mant = int(m * (1 << 53))
-    exp2 = e2 - 53
-    # Exponent k = floor(log_b a), guessed from floats then fixed exactly.
-    k = math.floor(math.log2(a) / math.log2(b))
-    while _compare_with_power(mant, exp2, b, k + 1) >= 0:
+    a = Fraction(abs(x))
+    k = math.floor(math.log2(abs(x)) / math.log2(b))
+    while a >= Fraction(b) ** (k + 1):
         k += 1
-    while _compare_with_power(mant, exp2, b, k) < 0:
+    while a < Fraction(b) ** k:
         k -= 1
-    s = float(Fraction(mant, 1) * Fraction(2) ** exp2 / Fraction(b) ** k)
+    s = float(a / Fraction(b) ** k)
     if s >= b:  # true value is below b but rounded up to it
         s = math.nextafter(float(b), 1.0)
     return s

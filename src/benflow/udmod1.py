@@ -39,6 +39,7 @@ from .significand import fractions_of_logs
 _LN_ZERO_GUARD = 1e-300
 _CELLS = 4096  # cells of [0, 1) in the Weyl-sum kernel (a power of two)
 _TAYLOR_TAIL = 1e-17  # largest Taylor remainder per sample in the kernel
+MIN_SAMPLES = 100  # fewest samples a grid, a Weyl report or a verdict's input may hold
 
 
 def _cos_2pi(x: np.ndarray) -> np.ndarray:
@@ -66,8 +67,8 @@ class SamplingGrid:
             raise UsageError("need T > 0, step > 0, offset >= 0")
         if self.step >= self.T:
             raise UsageError("step must be smaller than the horizon")
-        if self.count < 100:
-            raise UsageError(f"grid yields only {self.count} samples; need >= 100")
+        if self.count < MIN_SAMPLES:
+            raise UsageError(f"grid yields only {self.count} samples; need >= {MIN_SAMPLES}")
 
     @property
     def count(self) -> int:
@@ -172,8 +173,8 @@ def cud_report(samples: Sequence[float] | np.ndarray, K: int) -> WeylReport:
     if K < 1:
         raise UsageError("K must be >= 1")
     arr = np.asarray(samples, dtype=float)
-    if arr.size < 100:
-        raise UsageError("need at least 100 samples for a meaningful report")
+    if arr.size < MIN_SAMPLES:
+        raise UsageError(f"need at least {MIN_SAMPLES} samples for a meaningful report")
     if not np.all(np.isfinite(arr)):
         raise DomainError("samples must be finite")
     return WeylReport.from_sorted(fractions_of_logs(arr), K)
@@ -213,16 +214,16 @@ def delta_sampling_check(
     Sampling a function along an arithmetic progression preserves
     equidistribution for almost every step; the countable exceptional
     steps show up as discrete sums disagreeing with the time average
-    and are flagged.  Each delta must yield at least 100 samples in
-    (0, T].
+    and are flagged.  Each delta must yield at least MIN_SAMPLES (100)
+    samples in (0, T].
     """
     if k == 0:
         raise UsageError("frequency k must be nonzero")
     deltas = tuple(float(d) for d in deltas)
     if not deltas or any(d <= 0 for d in deltas):
         raise UsageError("delta list must be non-empty and positive")
-    if any(math.floor(T / d) < 100 for d in deltas):
-        raise UsageError("every delta must yield at least 100 samples in (0, T]")
+    if any(math.floor(T / d) < MIN_SAMPLES for d in deltas):
+        raise UsageError(f"every delta must yield at least {MIN_SAMPLES} samples in (0, T]")
     if continuous_step is None:
         continuous_step = T / 1e6
     sums = []

@@ -12,6 +12,7 @@ import numpy as np
 
 from benflow.config import RunConfig
 from benflow.demos import (
+    frobenius_example_generator,
     psi_norm_map,
     resonant_spiral_set,
     rotation_set_pi,
@@ -26,7 +27,6 @@ from benflow.flowsignal import (
     VERDICT_FAIL,
     VERDICT_PASS,
     benford_verdict,
-    frobenius_example_generator,
 )
 from benflow.genericity import EnsembleSpec, resonance_census
 from benflow.matrixcore import expm, jordan_index, spectrum

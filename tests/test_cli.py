@@ -93,6 +93,36 @@ class TestAnalyzeMatrix:
         path.write_text(json.dumps({"matrix": [[2.0, 0.0], [0.0, 2.0]], "exact_spectrum": annotation}))
         assert run_cli(capsys, "analyze-matrix", str(path))[0] == EXIT_USAGE
 
+    @pytest.mark.parametrize("eps", ["1e-8", "1e-9", "1e-10", "1e-12", "1e-14"])
+    def test_near_real_rotation_one_point(self, capsys, tmp_path, eps):
+        # 1 +- eps i is one real point: two made-real means merged (1e-8), or one
+        # cluster with no rank drop at 1 (1e-9 .. 1e-12), never two points or exit 2
+        path = tmp_path / "m.csv"
+        path.write_text(f"1,-{eps}\n{eps},1\n")
+        code, out, _ = run_cli(capsys, "analyze-matrix", str(path))
+        assert code == EXIT_OK
+        assert json.loads(out)["eigenvalues"] == [{"re": 1.0, "im": 0.0, "multiplicity": 2, "jordan_index": 0}]
+
+    @pytest.mark.parametrize(
+        "annotation",
+        [
+            {"eigenvalues": [{"re": {"1": None}}, {"re": {"1": 2}}]},
+            {"symbols": ["x"], "atoms": {"x": "abc"}, "eigenvalues": [{"re": {"1": 1}}, {"re": {"1": 2}}]},
+            {"eigenvalues": 5},
+            {"atoms": [1], "eigenvalues": [{"re": {"1": 1}}, {"re": {"1": 2}}]},
+            {"symbols": [3], "eigenvalues": [{"re": {"1": 1}}, {"re": {"1": 2}}]},
+            {"symbols": "pi", "eigenvalues": [{"re": {"1": 1}}, {"re": {"1": 2}}]},
+            {"symbols": ["ln0"], "eigenvalues": [{"re": {"1": 1}}, {"re": {"1": 2}}]},
+        ],
+        ids=["null-coordinate", "non-numeric-atom", "eigenvalues-int", "atoms-list", "symbols-int", "symbols-str", "ln0"],
+    )
+    def test_malformed_annotation_exit_2(self, capsys, tmp_path, annotation):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"matrix": [[1.0, 0.0], [0.0, 2.0]], "exact_spectrum": annotation}))
+        code, _, err = run_cli(capsys, "analyze-matrix", str(path))
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_parse_error_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("[[1, 2], [3,]]")
@@ -379,6 +409,36 @@ class TestConfigFile:
         config.write_text(json.dumps({"horzon": 1.0}))
         code, _, err = run_cli(capsys, "--config", str(config), "example", "ex-3-8")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "config, flags",
+        [
+            ({"base": "10"}, ["example", "ex-3-8"]),
+            ({"horizon": "1e4"}, ["example", "ex-3-8"]),
+            ({"weyl_k": 2.5}, ["example", "ex-3-8"]),
+            ({"thresholds": {"distance": "x"}}, ["example", "ex-3-8"]),
+            ({"thresholds": {"zero_rel": -1}}, ["example", "ex-3-8"]),
+            ({"thresholds": {"zero_rel": 1.5}}, ["example", "ex-3-8"]),
+            ({"tolerances": {"eigen_cluster": 0}}, ["example", "ex-3-8"]),
+            (None, ["--horizon", "inf", "example", "ex-3-8"]),
+            (None, ["--seed", "-1", "census", "--dim", "2", "--n", "5"]),
+            (None, ["--seed", "-1", "example", "ex-3-9"]),
+        ],
+        ids=[
+            "base-str", "horizon-str", "weyl_k-float", "distance-str", "zero_rel-negative",
+            "zero_rel-above-1", "eigen_cluster-zero", "horizon-inf", "seed-negative-census", "seed-negative-ex-3-9",
+        ],
+    )
+    def test_malformed_config_exit_2(self, capsys, tmp_path, config, flags):
+        argv = list(flags)
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv = ["--config", str(path), *argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert out == ""
 
     def test_unknown_tolerance_key_exit_2(self, capsys, tmp_path):
         # jordan_index's rank cutoff is a constant, not a setting

@@ -5,9 +5,15 @@ import pytest
 
 from benflow.config import RunConfig
 from benflow.dataio import parse_exact_spectrum
-from benflow.demos import EXAMPLE_IDS, resonant_spiral_set, run_example, spiral_generators, three_mode_set
+from benflow.demos import (
+    EXAMPLE_IDS,
+    frobenius_example_generator,
+    resonant_spiral_set,
+    run_example,
+    spiral_generators,
+    three_mode_set,
+)
 from benflow.errors import UsageError
-from benflow.flowsignal import frobenius_example_generator
 from benflow.resonance import is_exp_b_nonresonant
 from helpers import fixture_text
 

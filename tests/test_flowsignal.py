@@ -5,7 +5,12 @@ import pytest
 
 from benflow.config import RunConfig, VerdictThresholds
 from benflow.dataio import load_signal_csv
-from benflow.demos import psi_norm_closed_form, spiral_generators
+from benflow.demos import (
+    frobenius_example_generator,
+    frobenius_norm_signal_3x3_example,
+    psi_norm_closed_form,
+    spiral_generators,
+)
 from benflow.errors import DomainError, UnsupportedStructureError, UsageError
 from benflow.flowsignal import (
     NormOnFlow,
@@ -20,8 +25,6 @@ from benflow.flowsignal import (
     benford_verdict,
     build_observable_for_modes,
     eval_signal,
-    frobenius_example_generator,
-    frobenius_norm_signal_3x3_example,
     sample_log_signal,
     triviality_check,
 )

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from benflow.errors import DomainError, SignalOverflowError, UsageError
+from benflow.errors import DomainError, SignalOverflowError, UnsupportedStructureError, UsageError
+from benflow.flowsignal import build_observable_for_modes
 from benflow.matrixcore import (
     as_square_matrix,
     companion_from_second_order,
@@ -116,6 +117,18 @@ class TestSpectrum:
         points = spectrum(a).points
         assert [(q.z, q.m) for q in points] == [(1 + 0j, 2)]
         assert points[0].z.imag == 0.0
+
+    def test_split_jordan_block_is_one_defective_point(self):
+        # dgeev splits the Jordan block at 2 into 2 +- 6.4e-8 i: more than thr
+        # apart, each within thr of the axis, so both means are made real
+        s = np.array([[2.0, 1.0, 3.0], [0.0, 1.0, 3.0], [2.0, 1.0, 0.0]])
+        a = s @ np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, -1.0]]) @ np.linalg.inv(s)
+        assert np.count_nonzero(np.linalg.eigvals(a).imag) == 2
+        info = spectrum(a)
+        assert [(round(p.z.real, 9), p.m, p.k) for p in info.points] == [(-1.0, 1, 0), (2.0, 2, 1)]
+        assert info.kmax == 1 and len(info.dominant) == 1
+        with pytest.raises(UnsupportedStructureError):
+            build_observable_for_modes(a, [2.0], [1.0])
 
     def test_multiplicities_sum_to_dimension(self):
         rng = np.random.default_rng(11)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -372,6 +373,27 @@ class TestNumericRelationScan:
         assert numeric_relation_scan(zs, 10, 2) is None
         found = numeric_relation_scan(zs, 10, 8)
         assert found is not None and found.q == 7 and tuple(found.p) == (3,)
+
+    def test_planted_two_generator_relations_found(self):
+        # q Re z = p_1 g_1 + p_2 g_2, g_l = (ln 10 / pi) Im w_l: every planted
+        # relation is found, not only those whose float residual is exactly 0
+        rng = random.Random(5)
+        for _ in range(300):
+            ims = [rng.uniform(0.2, 3.0) for _ in range(2)]
+            q = rng.randint(1, 8)
+            p = [rng.choice((-1, 1)) * rng.randint(1, 8) for _ in range(2)]
+            re = sum(pl * LN10 / math.pi * im for pl, im in zip(p, ims)) / q
+            zs = [complex(re, s * im) for im in ims for s in (1, -1)]
+            rel = numeric_relation_scan(zs, 10, 8)
+            assert rel is not None, (q, p, ims)
+            assert max(rel.q, *map(abs, rel.p)) <= 8
+
+    def test_unrelated_two_generator_sets_none(self):
+        rng = random.Random(6)
+        for _ in range(300):
+            re, ims = rng.uniform(-3.0, 3.0), [rng.uniform(0.2, 3.0) for _ in range(2)]
+            zs = [complex(re, s * im) for im in ims for s in (1, -1)]
+            assert numeric_relation_scan(zs, 10, 8) is None, zs
 
     def test_bad_height_rejected(self):
         with pytest.raises(UsageError):
