@@ -71,8 +71,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="r=R,k=K,modes=w:u[,w:u...] (';' also separates modes; defaults r=0, k=0, modes=0:1)",
     )
     source.add_argument("--signal-csv", type=Path, help="two-column (t, value) CSV")
-    p_benford.add_argument("--observable", type=Path, help="observable coefficient matrix file")
-    p_benford.add_argument("--norm", choices=("spectral", "frobenius", "max"), help="use a norm signal")
+    signal = p_benford.add_mutually_exclusive_group()
+    signal.add_argument("--observable", type=Path, help="observable coefficient matrix file (with --matrix)")
+    signal.add_argument("--norm", choices=("spectral", "frobenius", "max"), help="use a norm signal (with --matrix)")
     p_benford.add_argument("--digits-csv", type=Path, help="write per-digit frequencies here")
     p_benford.add_argument("--ecdf-csv", type=Path, help="write significand ECDF samples here")
     p_benford.set_defaults(run=_cmd_benford)
@@ -207,6 +208,8 @@ def _parse_synthetic(text: str) -> Synthetic:
 
 
 def _cmd_benford(args, cfg: RunConfig) -> int:
+    if args.matrix is None and (args.observable or args.norm):
+        raise UsageError("--observable and --norm apply only to --matrix")
     if args.signal_csv:
         _, values = load_signal_csv(args.signal_csv)
         report = benford_report_from_samples(values, config=cfg)

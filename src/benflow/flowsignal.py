@@ -7,7 +7,7 @@ overflows long before interesting horizons), exclude near-zero
 samples, and judge the fractional parts u of the kept logs, sorted
 once: their KS distance from uniform (the significand sup-distance),
 their digit counts and their Weyl magnitudes, which come from power
-sums of the offsets of u within 4096 cells (`udmod1.sorted_weyl_sums`),
+sums of the in-cell parts of u within 4096 cells (`udmod1.sorted_weyl_sums`),
 not from one complex exponential per sample.  Every verdict setting
 (base, grid, thresholds, number of Weyl frequencies) comes from one
 RunConfig; the entry points take it as the keyword `config`.
@@ -41,8 +41,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import RunConfig, VerdictThresholds
-from .errors import DomainError, UnsupportedStructureError, UsageError
+from .config import RunConfig, Tolerances, VerdictThresholds
+from .errors import DomainError, SignalOverflowError, UnsupportedStructureError, UsageError
 from .matrixcore import as_square_matrix, expm, spectrum
 from .significand import DigitHistogram, digit_counts, fractions_of_logs, log_fractions, uniform_distance, validate_base
 from .udmod1 import MIN_SAMPLES, SamplingGrid, WeylReport
@@ -51,6 +51,7 @@ _EIG_COND_LIMIT = 1e8
 _CHUNK = 200_000
 _TABLE = 1024  # rows of the shared mode-factor table (eigen path block length)
 _POWERS = 256  # propagator powers S^1..S^m kept by the stepping fallback
+_TRIVIAL_REL = 1e-12  # triviality_check's cutoff, relative to the largest power norm
 
 VERDICT_PASS = "BENFORD_PASS"
 VERDICT_FAIL = "FAIL"
@@ -104,13 +105,18 @@ class NormOnFlow:
 
 @dataclass(frozen=True)
 class Synthetic:
-    """Closed-form mode sum e^{rt} t^k sum_j weight_j cos(omega_j t)."""
+    """Closed-form mode sum e^{rt} t^k sum_j weight_j cos(omega_j t).
+
+    r and every frequency and weight must be finite.
+    """
 
     r: float
     k: int
     modes: tuple[tuple[float, float], ...]  # (omega, weight)
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for x in (self.r, *(x for mode in self.modes for x in mode))):
+            raise UsageError("r and every mode frequency and weight must be finite")
         if self.k < 0:
             raise UsageError("polynomial order k must be >= 0")
         omegas = [w for w, _ in self.modes]
@@ -138,12 +144,22 @@ def _matrix_norm(m: np.ndarray, kind: str) -> float:
 
 
 def eval_signal(spec: SignalSpec, t: float) -> float:
-    """Evaluate the signal at one time point (direct, overflow-checked)."""
+    """Evaluate the signal at one time point (direct, overflow-checked).
+
+    A value outside the floating-point range raises SignalOverflowError
+    naming t, for every kind of signal.
+    """
     if not math.isfinite(t):
         raise DomainError(f"time must be finite, got {t}")
     if isinstance(spec, Synthetic):
         acc = math.fsum(u * math.cos(w * t) for w, u in spec.modes)
-        return math.exp(spec.r * t) * t**spec.k * acc
+        try:
+            value = math.exp(spec.r * t) * t**spec.k * acc
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise SignalOverflowError(f"synthetic signal overflowed at t = {t}", t=t)
+        return value
     if isinstance(spec, ObservableOnFlow):
         return spec.observable(expm(spec.generator, t))
     return _matrix_norm(expm(spec.generator, t), spec.norm)
@@ -153,11 +169,11 @@ def eval_signal(spec: SignalSpec, t: float) -> float:
 # triviality and observable construction
 
 
-def triviality_check(a: np.ndarray, obs: Observable, tol: float = 1e-12) -> bool:
+def triviality_check(a: np.ndarray, obs: Observable) -> bool:
     """True iff the signal H(e^{tA}) vanishes identically.
 
     By Cayley-Hamilton this reduces to H(A^j) = 0 for j = 0..d-1,
-    checked against tol times the largest power norm.
+    checked against _TRIVIAL_REL times the largest power norm.
     """
     a = as_square_matrix(a)
     d = a.shape[0]
@@ -168,24 +184,25 @@ def triviality_check(a: np.ndarray, obs: Observable, tol: float = 1e-12) -> bool
         scales.append(float(np.linalg.norm(power)))
         power = power @ a
     scale = max(scales)
-    return all(v <= tol * scale for v in values)
+    return all(v <= _TRIVIAL_REL * scale for v in values)
 
 
-def build_observable_for_modes(
-    a: np.ndarray, modes: Sequence[complex], weights: Sequence[float], *, tol: float = 1e-8
-) -> Observable:
+def build_observable_for_modes(a: np.ndarray, modes: Sequence[complex], weights: Sequence[float]) -> Observable:
     """An observable whose signal is sum_z u_z e^{t Re z} cos(t Im z).
 
     Each requested mode must be a simple eigenvalue (multiplicity one,
     no Jordan block), given as the Im >= 0 representative of its
     conjugate pair.  Built from the real and imaginary eigenvector
-    parts; defective or clustered modes are rejected.
+    parts; defective or clustered modes are rejected.  Modes are matched
+    and judged real at the `Tolerances().eigen_cluster` gap that
+    `spectrum` clusters with.
     """
     a = as_square_matrix(a)
     if len(modes) != len(weights):
         raise UsageError("need one weight per mode")
     if not modes:
         raise UsageError("need at least one mode")
+    tol = Tolerances().eigen_cluster
     info = spectrum(a, tol)
     eigvals, eigvecs = np.linalg.eig(a)
     scale = max(float(np.linalg.norm(a)), 1e-300)
@@ -350,14 +367,13 @@ def _spectral_norm_3x3(entries: np.ndarray) -> np.ndarray:
 def _stepping_logb(a: np.ndarray, r: float, grid: SamplingGrid, b: int, functional) -> _LogSample:
     """Fallback for defective generators: blocked powers of S = e^{(A - rI) step}.
 
-    The shifted propagator at t_i = offset + i*step is E0 S^i, with
-    E0 = e^{(A - rI) offset}.  S^1..S^m are formed once; a chunk of
-    samples is then the stack of block bases E0 S^{km} (one small
-    product each) times [S^1 | ... | S^m], a single GEMM, and
-    `functional` maps the chunk's (d*d, n) entries to n values.  The
-    shifted propagator grows at most polynomially, so overflow can only
-    come from extreme Jordan structure; the horizon is then truncated at
-    the first non-finite propagator and reported.
+    The shifted propagator at t_i = i*step is S^i.  S^1..S^m are formed
+    once; a chunk of samples is then the stack of block bases S^{km},
+    k = 0, 1, ... (one small product each), times [S^1 | ... | S^m], a
+    single GEMM, and `functional` maps the chunk's (d*d, n) entries to n
+    values.  The shifted propagator grows at most polynomially, so
+    overflow can only come from extreme Jordan structure; the horizon is
+    then truncated at the first non-finite propagator and reported.
     """
     d = a.shape[0]
     step_mat = expm(a - r * np.eye(d), grid.step)
@@ -368,7 +384,7 @@ def _stepping_logb(a: np.ndarray, r: float, grid: SamplingGrid, b: int, function
     times = grid.times()
     lnb = math.log(b)
     out = np.empty(times.size)
-    base = expm(a - r * np.eye(d), grid.offset) if grid.offset else np.eye(d)
+    base = np.eye(d)
     kept, truncated_at = times.size, None
     span = _CHUNK // _POWERS * _POWERS
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -474,6 +490,8 @@ def _verdict_from_logb(
     """Exclude exact zeros and samples below zero_rel times the running
     max of |f|, then judge the sorted fractions of the kept log_b|f|
     under config's thresholds and number of Weyl frequencies.
+    No kept sample is TRIVIAL; fewer than MIN_SAMPLES kept samples are
+    an inconclusive FAIL, with the statistics still reported.
     When the raw values behind `logb` are given, the fractions come
     from them, so values on a digit edge land in that digit."""
     thresholds = config.thresholds
@@ -499,7 +517,9 @@ def _verdict_from_logb(
     sig = np.minimum(np.power(float(b), u[stride - 1 :: stride]), math.nextafter(float(b), 1.0))
     floor = weyl.noise_floor(thresholds.weyl_multiplier)
     max_mag = weyl.max_magnitude
-    if distance < thresholds.distance and max_mag < floor:
+    if u.size < MIN_SAMPLES:
+        verdict, inconclusive = VERDICT_FAIL, True
+    elif distance < thresholds.distance and max_mag < floor:
         verdict, inconclusive = VERDICT_PASS, False
     elif distance > thresholds.fail_factor * thresholds.distance or max_mag > thresholds.fail_factor * floor:
         verdict, inconclusive = VERDICT_FAIL, False

@@ -121,8 +121,8 @@ def _cluster_eigenvalues(eigs: np.ndarray, thr: float) -> list[tuple[complex, in
     return sorted(clusters.items(), key=lambda pair: (pair[0].real, pair[0].imag))
 
 
-def _rank(mat: np.ndarray, tol: float, noise_floor: float) -> int:
-    """Singular-value rank with both a relative cut and an absolute floor.
+def _rank(mat: np.ndarray, noise_floor: float) -> int:
+    """Singular-value rank with both a relative cut (_RANK_TOL) and an absolute floor.
 
     The floor matters when a power is mathematically zero but filled
     with roundoff: its own largest singular value is then pure noise
@@ -131,18 +131,18 @@ def _rank(mat: np.ndarray, tol: float, noise_floor: float) -> int:
     sv = np.linalg.svd(mat, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
-    cut = max(tol * sv[0], noise_floor)
+    cut = max(_RANK_TOL * sv[0], noise_floor)
     return int(np.count_nonzero(sv > cut))
 
 
-def jordan_index(a: np.ndarray, z: complex, tol: float = _RANK_TOL, *, branch_tol: float | None = None) -> int:
+def jordan_index(a: np.ndarray, z: complex, *, branch_tol: float | None = None) -> int:
     """Largest k with rank(B^{k+1}) < rank(B^k), i.e. largest block size - 1.
 
     B is A - zI for real z and the real quadratic factor
     A^2 - 2 Re(z) A + |z|^2 I for a conjugate pair.  z must be within
     tolerance of an actual eigenvalue.  Ranks come from singular values
-    thresholded at tol times the largest one, with an absolute noise
-    floor scaled to the input.
+    thresholded at _RANK_TOL times the largest one, with an absolute
+    noise floor scaled to the input.
     """
     a = as_square_matrix(a)
     d = a.shape[0]
@@ -167,7 +167,7 @@ def jordan_index(a: np.ndarray, z: complex, tol: float = _RANK_TOL, *, branch_to
     power = eye
     for k in range(1, d + 2):
         power = power @ base
-        ranks.append(_rank(power, tol, eta * base_norm ** (k - 1)))
+        ranks.append(_rank(power, eta * base_norm ** (k - 1)))
         if ranks[-1] == ranks[-2]:
             break
     k = len(ranks) - 3

@@ -290,6 +290,7 @@ class IntegerRelation:
 
 
 _RESIDUAL_TOL = 1e-9
+_GROUP_TOL = 1e-9  # relative gap in Re under which numeric_relation_scan groups elements
 # PSLQ acceptance on the scale-normalised values: a relation among float
 # inputs holds only to about 1e-16, never to mpmath's default 2^(-0.75 prec)
 _PSLQ_TOL = mpmath.mpf(2) ** -40
@@ -318,12 +319,10 @@ def _pslq_relation(values: list[mpmath.mpf], height: int) -> list[int] | None:
     return list(rel) if rel is not None and max(map(abs, rel)) <= height else None
 
 
-def numeric_relation_scan(
-    zs: Iterable[complex], b: int, height: int = 8, *, group_tol: float = 1e-9
-) -> IntegerRelation | None:
+def numeric_relation_scan(zs: Iterable[complex], b: int, height: int = 8) -> IntegerRelation | None:
     """Search for integer relations among scaled spectrum coordinates.
 
-    Elements are grouped by nearly-equal real part; duplicate
+    Elements are grouped by real parts within _GROUP_TOL * scale; duplicate
     generators (equal up to sign) are collapsed before searching, so
     coefficients are bounded per collapsed generator.  A returned
     relation has residual below 1e-9 after renormalization; None is
@@ -342,8 +341,8 @@ def numeric_relation_scan(
     scale = max(scale, 1.0)
     groups: list[list[complex]] = []
     for z in elements:
-        # sorted by Re, anchors over group_tol * scale apart: no earlier group can match
-        if groups and abs(z.real - groups[-1][0].real) <= group_tol * scale:
+        # sorted by Re, anchors over _GROUP_TOL * scale apart: no earlier group can match
+        if groups and abs(z.real - groups[-1][0].real) <= _GROUP_TOL * scale:
             groups[-1].append(z)
         else:
             groups.append([z])

@@ -1,15 +1,15 @@
 """Uniform distribution modulo one: Weyl sums and torus-map pushforwards.
 
-A sequence or sampled function is equidistributed mod 1 exactly when
-all its nonzero-frequency exponential-sum averages vanish in the
-limit; the reports here estimate those averages at frequencies
-1..K and compare against a CLT-scale noise floor.
+A sequence or sampled function is uniformly distributed mod 1 exactly
+when all its nonzero-frequency exponential-sum averages vanish in the
+limit; the reports here estimate those averages at frequencies 1..K
+and compare against a CLT-scale noise floor.
 
 `cud_report` forms no per-sample exponential.  It sorts the fractional
 parts u of the samples (verdicts hand over theirs, already sorted, to
 `WeylReport.from_sorted`) and splits [0, 1) into M = 4096 cells; as M
-is a power of two, each offset delta = u M - floor(u M) in [0, 1) is
-exact.  One `searchsorted` finds the cell starts and one
+is a power of two, each in-cell part delta = u M - floor(u M) in
+[0, 1) is exact.  One `searchsorted` finds the cell starts and one
 `np.add.reduceat` per power gives the cell sums S_j(m) = sum delta^j,
 j = 0..J; then
     W_k = sum_m e^{2 pi i k m / M} sum_j (2 pi i k / M)^j / j! S_j(m),
@@ -40,6 +40,8 @@ _LN_ZERO_GUARD = 1e-300
 _CELLS = 4096  # cells of [0, 1) in the Weyl-sum kernel (a power of two)
 _TAYLOR_TAIL = 1e-17  # largest Taylor remainder per sample in the kernel
 MIN_SAMPLES = 100  # fewest samples a grid, a Weyl report or a verdict's input may hold
+_CONTINUOUS_SAMPLES = 1e6  # grid points of delta_sampling_check's time average
+_FLAG_GAP = 0.1  # |discrete - continuous| Weyl sum gap that flags a delta
 
 
 def _cos_2pi(x: np.ndarray) -> np.ndarray:
@@ -56,15 +58,14 @@ def _cos_2pi(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SamplingGrid:
-    """Uniform time grid on (offset, T]: t_i = offset + i*step, i = 1..n."""
+    """Uniform time grid on (0, T]: t_i = i*step, i = 1..n, n = floor(T / step)."""
 
     T: float
     step: float
-    offset: float = 0.0
 
     def __post_init__(self):
-        if not (self.T > 0 and self.step > 0 and self.offset >= 0):
-            raise UsageError("need T > 0, step > 0, offset >= 0")
+        if not (self.T > 0 and self.step > 0):
+            raise UsageError("need T > 0, step > 0")
         if self.step >= self.T:
             raise UsageError("step must be smaller than the horizon")
         if self.count < MIN_SAMPLES:
@@ -72,15 +73,19 @@ class SamplingGrid:
 
     @property
     def count(self) -> int:
-        return int(math.floor((self.T - self.offset) / self.step))
+        return int(math.floor(self.T / self.step))
 
     def times(self) -> np.ndarray:
-        return self.offset + self.step * np.arange(1, self.count + 1)
+        return self.step * np.arange(1, self.count + 1)
 
 
 @dataclass(frozen=True)
 class WeylReport:
-    """Magnitudes of averaged exponentials at frequencies 1..K."""
+    """Magnitudes of averaged exponentials at frequencies 1..K.
+
+    `noise_floor(multiplier)` is the CLT-scale floor multiplier/sqrt(N);
+    verdicts pass it `VerdictThresholds.weyl_multiplier`.
+    """
 
     magnitudes: Mapping[int, float]
     K: int
@@ -101,12 +106,8 @@ class WeylReport:
     def max_magnitude(self) -> float:
         return max(self.magnitudes.values())
 
-    def noise_floor(self, multiplier: float = 3.0) -> float:
+    def noise_floor(self, multiplier: float) -> float:
         return multiplier / math.sqrt(self.count)
-
-    def equidistributed(self, multiplier: float = 3.0) -> bool:
-        """Advisory: all magnitudes below the CLT-scale floor. Not a proof."""
-        return self.max_magnitude < self.noise_floor(multiplier)
 
 
 def weyl_sum_sequence(x: Sequence[float] | np.ndarray, k: int) -> complex:
@@ -142,7 +143,7 @@ def _kernel_shape(K: int) -> tuple[int, int]:
 def sorted_weyl_sums(u: np.ndarray, K: int) -> np.ndarray:
     """Averages (1/n) sum_n e^{2 pi i k u_n} for k = 1..K over sorted
     fractions u in [0, 1), from the cell power sums S_j(m) of the
-    offsets delta, with u = (m + delta) / M (see the module docstring)."""
+    in-cell parts delta, with u = (m + delta) / M (see the module docstring)."""
     M, J = _kernel_shape(K)
     n = u.size
     starts = np.searchsorted(u, np.arange(M) / M)
@@ -188,7 +189,6 @@ class DeltaComparison:
     discrete_sums: tuple[complex, ...]
     continuous_sum: complex
     flagged: tuple[bool, ...]
-    tolerance: float
     k: int
 
     @property
@@ -201,21 +201,17 @@ class DeltaComparison:
 
 
 def delta_sampling_check(
-    f: Callable[[np.ndarray], np.ndarray],
-    T: float,
-    deltas: Sequence[float],
-    k: int = 1,
-    *,
-    tolerance: float = 0.1,
-    continuous_step: float | None = None,
+    f: Callable[[np.ndarray], np.ndarray], T: float, deltas: Sequence[float], k: int = 1
 ) -> DeltaComparison:
     """Compare Weyl sums of (f(n*delta)) against the continuous estimate.
 
     Sampling a function along an arithmetic progression preserves
-    equidistribution for almost every step; the countable exceptional
-    steps show up as discrete sums disagreeing with the time average
-    and are flagged.  Each delta must yield at least MIN_SAMPLES (100)
-    samples in (0, T].
+    uniform distribution mod 1 for almost every step; the countable
+    exceptional steps show up as discrete sums disagreeing with the time
+    average, the Riemann sum over `SamplingGrid(T, T /
+    _CONTINUOUS_SAMPLES)`.  A delta is flagged when its sum is more than
+    _FLAG_GAP from that average.  Each delta must yield at least
+    MIN_SAMPLES (100) samples in (0, T].
     """
     if k == 0:
         raise UsageError("frequency k must be nonzero")
@@ -224,22 +220,13 @@ def delta_sampling_check(
         raise UsageError("delta list must be non-empty and positive")
     if any(math.floor(T / d) < MIN_SAMPLES for d in deltas):
         raise UsageError(f"every delta must yield at least {MIN_SAMPLES} samples in (0, T]")
-    if continuous_step is None:
-        continuous_step = T / 1e6
-    sums = []
-    for d in deltas:
-        n = int(math.floor(T / d))
-        seq = f(d * np.arange(1, n + 1))
-        sums.append(weyl_sum_sequence(seq, k))
-    grid = SamplingGrid(T=T, step=continuous_step)
-    continuous = weyl_sum_sequence(f(grid.times()), k)  # Riemann sum of the time average
-    flagged = tuple(abs(s - continuous) > tolerance for s in sums)
+    sums = [weyl_sum_sequence(f(SamplingGrid(T, d).times()), k) for d in deltas]
+    continuous = weyl_sum_sequence(f(SamplingGrid(T, T / _CONTINUOUS_SAMPLES).times()), k)
     return DeltaComparison(
         deltas=deltas,
         discrete_sums=tuple(sums),
         continuous_sum=continuous,
-        flagged=flagged,
-        tolerance=tolerance,
+        flagged=tuple(abs(s - continuous) > _FLAG_GAP for s in sums),
         k=k,
     )
 
@@ -265,30 +252,17 @@ class TorusMapSpec:
         return len(self.p)
 
 
-def torus_map_apply(spec: TorusMapSpec, x) -> np.ndarray | float:
-    """Apply the map at points of the d-torus.
+def torus_map_apply(spec: TorusMapSpec, x: np.ndarray) -> np.ndarray:
+    """Apply the map at n points of the d-torus, given as an (n, d) array.
 
-    Accepts a single point (length-d array or scalar for d = 1) or an
-    (n, d) batch.  Cosine sums indistinguishable from zero fall back to
-    the ln 0 := 0 convention; no point is excluded.  Non-finite points
-    raise DomainError.
+    Returns the n images.  Any other shape raises UsageError.  Cosine
+    sums indistinguishable from zero fall back to the ln 0 := 0
+    convention; no point is excluded.  Non-finite points raise
+    DomainError.
     """
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 0:
-        scalar_input = True
-        pts = arr.reshape(1, 1)
-    elif arr.ndim == 1:
-        if spec.d == 1:  # a 1-d array is a batch of points on the circle
-            scalar_input = False
-            pts = arr.reshape(-1, 1)
-        else:
-            scalar_input = True
-            pts = arr.reshape(1, -1)
-    else:
-        scalar_input = False
-        pts = arr
-    if pts.shape[1] != spec.d:
-        raise UsageError(f"points must have dimension {spec.d}")
+    pts = np.asarray(x, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != spec.d:
+        raise UsageError(f"points must be an (n, {spec.d}) array, got shape {pts.shape}")
     if not np.all(np.isfinite(pts)):
         raise DomainError("torus points must be finite")
     linear = pts @ np.asarray(spec.p, dtype=float)
@@ -296,8 +270,7 @@ def torus_map_apply(spec: TorusMapSpec, x) -> np.ndarray | float:
     mag = np.abs(cos_sum)
     near_zero = mag < _LN_ZERO_GUARD
     log_term = np.where(near_zero, 0.0, np.log(np.where(near_zero, 1.0, mag)))
-    out = np.mod(linear + spec.alpha * log_term, 1.0)
-    return float(out[0]) if scalar_input else out
+    return np.mod(linear + spec.alpha * log_term, 1.0)
 
 
 TorusMap = TorusMapSpec | Callable[[np.ndarray], np.ndarray]

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import subprocess
 import sys
 
@@ -291,6 +292,32 @@ class TestBenfordCommand:
         assert runs[0] == runs[1]
         assert runs[0][1] != runs[2][1]  # the second mode is not dropped
 
+    @pytest.mark.parametrize("spec", ["r=nan", "r=inf", "modes=inf:1", "modes=0:nan", "modes=0:inf"])
+    def test_non_finite_synthetic_exit_2(self, capsys, spec):
+        code, out, err = run_cli(capsys, "--horizon", "1000", "benford", "--synthetic", spec)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and "must be finite" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "source, signal",
+        [
+            (["--matrix", "gen.json"], ["--observable", "obs.json", "--norm", "max"]),
+            (["--synthetic", "r=1,k=0,modes=0:1"], ["--norm", "max"]),
+            (["--signal-csv", "signal.csv"], ["--observable", "obs.json"]),
+        ],
+        ids=["matrix-observable-and-norm", "synthetic-norm", "csv-observable"],
+    )
+    def test_signal_option_without_matrix_or_twice_exit_2(self, capsys, tmp_path, monkeypatch, source, signal):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "gen.json").write_text("[[1, -3.141592653589793], [3.141592653589793, 1]]")
+        (tmp_path / "obs.json").write_text("[[1, 0], [0, 0]]")
+        (tmp_path / "signal.csv").write_text("\n".join(f"{i},{math.exp(i * 0.01)}" for i in range(200)))
+        code, out, err = run_cli(capsys, "--horizon", "1000", "benford", *source, *signal)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "error: " in err and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "spec, part",
         [("banana", "banana"), ("r=1,mode=0:1", "mode=0:1"), ("r=1,r=2", "r=2"), ("r=1,2:0.5", "2:0.5"), ("", "")],
@@ -494,6 +521,47 @@ class TestDataIO:
         matrix, annotation = load_matrix(path)
         assert matrix.tolist() == [[1.0, 0.0], [0.0, 2.0]]
         assert annotation is None
+
+
+ANNOTATED = {"matrix": [[1.0, 0.0], [0.0, 2.0]]}
+ONE_TWO = [{"re": {"1": 1}}, {"re": {"1": 2}}]
+
+
+@pytest.mark.parametrize(
+    "name, content, argv, message",
+    [
+        ("cfg.json", {"step": 20000}, ["--config", "{}", "example", "ex-3-8"], "need 0 < step < horizon"),
+        ("cfg.json", {"weyl_k": 0}, ["--config", "{}", "example", "ex-3-8"], "weyl_k must be >= 1"),
+        ("cfg.json", {"output_format": "xml"}, ["--config", "{}", "example", "ex-3-8"], "unknown output format 'xml'"),
+        ("cfg.json", [1, 2], ["--config", "{}", "example", "ex-3-8"], "expected a JSON object"),
+        ("cfg.json", {"thresholds": 5}, ["--config", "{}", "example", "ex-3-8"], "thresholds must be an object"),
+        ("m.json", {"foo": [[1]]}, ["analyze-matrix", "{}"], "needs a 'matrix' key"),
+        ("m.json", [["a", 1], [1, 1]], ["analyze-matrix", "{}"], "matrix entries must be numbers"),
+        ("m.csv", "1,2\n3,x\n", ["analyze-matrix", "{}"], "line 2: non-numeric entry"),
+        ("s.csv", "1\n2\n", ["benford", "--signal-csv", "{}"], "line 1: expected two columns"),
+        ("s.csv", "t,value\n", ["benford", "--signal-csv", "{}"], "no data rows"),
+        ("s.csv", "".join(f"{i},{'nan' if i == 7 else 1.5}\n" for i in range(200)), ["benford", "--signal-csv", "{}"],
+         "signal values must be finite"),
+        ("m.json", {**ANNOTATED, "exact_spectrum": {"symbols": ["pi**2"], "eigenvalues": ONE_TWO}}, ["analyze-matrix", "{}"],
+         "bad symbol label 'pi**2'"),
+        ("m.json", {**ANNOTATED, "exact_spectrum": {"eigenvalues": [5]}}, ["analyze-matrix", "{}"],
+         "each eigenvalue must be an object"),
+        ("m.json", {**ANNOTATED, "exact_spectrum": {"eigenvalues": [{"re": 5}, {"re": {"1": 2}}]}}, ["analyze-matrix", "{}"],
+         "eigenvalue coordinates must be objects"),
+    ],
+    ids=[
+        "config-step-above-horizon", "config-weyl_k-0", "config-format-xml", "config-list", "config-thresholds-int",
+        "matrix-no-key", "matrix-str-entry", "matrix-csv-str-entry", "signal-one-column", "signal-header-only",
+        "signal-nan", "annotation-pi**2", "annotation-eigenvalue-int", "annotation-re-int",
+    ],
+)
+def test_refused_input_exit_2(capsys, tmp_path, name, content, argv, message):
+    path = tmp_path / name
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
+    code, out, err = run_cli(capsys, *(arg.format(path) for arg in argv))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
 def test_console_entry_point():

@@ -11,7 +11,7 @@ from benflow.demos import (
     psi_norm_closed_form,
     spiral_generators,
 )
-from benflow.errors import DomainError, UnsupportedStructureError, UsageError
+from benflow.errors import DomainError, SignalOverflowError, UnsupportedStructureError, UsageError
 from benflow.flowsignal import (
     NormOnFlow,
     Observable,
@@ -76,6 +76,15 @@ class TestEvalSignal:
             Synthetic(r=1.0, k=0, modes=((1.0, 0.0),))
         with pytest.raises(UsageError):
             Synthetic(r=1.0, k=-1, modes=((1.0, 1.0),))
+
+    @pytest.mark.parametrize(
+        "spec", [Synthetic(r=1000.0, k=0, modes=((0.0, 1.0),)), Synthetic(r=0.0, k=200, modes=((0.0, 1.0),))]
+    )
+    def test_synthetic_overflow_names_t(self, spec):
+        # e^{rt} and t^k each overflow at t = 1000
+        with pytest.raises(SignalOverflowError) as info:
+            eval_signal(spec, 1000.0)
+        assert info.value.t == 1000.0
 
     def test_norm_kinds_ordering(self):
         a = np.array([[1.0, 3.0], [0.0, -1.0]])
@@ -187,7 +196,7 @@ class TestVerdicts:
         report = benford_verdict(NormOnFlow(psi, "spectral"), 10, GRID)
         assert report.verdict == VERDICT_FAIL
         assert not report.inconclusive
-        assert report.weyl.magnitudes[2] > 2 * report.weyl.noise_floor()
+        assert report.weyl.magnitudes[2] > 2 * report.weyl.noise_floor(report.thresholds.weyl_multiplier)
 
     def test_trivial_signal(self):
         obs = Observable(np.array([[1.0, 2.0], [-2.0, -1.0]]))  # H(A) = H(I) = 0
@@ -239,6 +248,16 @@ class TestVerdicts:
         thresholds = VerdictThresholds(distance=0.02, fail_factor=3.0)
         report = benford_report_from_log_samples(tweaked, 10, config=RunConfig(thresholds=thresholds))
         assert thresholds.distance < report.significand_distance < 3 * thresholds.distance
+        assert report.verdict == VERDICT_FAIL
+        assert report.inconclusive
+
+    def test_too_few_kept_samples_inconclusive(self):
+        # 99 kept samples at evenly spaced fractions: judged, but not passed
+        logb = np.concatenate([np.full(901, -np.inf), (np.arange(99) + 0.5) / 99 + 3])
+        report = benford_report_from_log_samples(logb)
+        assert report.excluded_sample_count == 901
+        assert report.significand_distance == pytest.approx(0.5 / 99)
+        assert report.weyl is not None and report.digit_histogram.total == 99
         assert report.verdict == VERDICT_FAIL
         assert report.inconclusive
 

@@ -433,7 +433,7 @@ class TestNumericRelationScan:
         assert found[0] is not None and found[0][0] == 0
 
     def test_chained_real_parts_split_at_anchor_distance(self, monkeypatch):
-        # Re x, x + 0.6 g, x + 1.2 g with g = group_tol * scale: the middle one
+        # Re x, x + 0.6 g, x + 1.2 g with g = _GROUP_TOL * scale: the middle one
         # joins x, the last is over g from the anchor x and opens a second group
         scanned = []
         real = resonance._scan_group
@@ -446,8 +446,8 @@ class TestNumericRelationScan:
         factor = LN10 / math.pi
         ims = (1.0, math.sqrt(2), math.sqrt(3))  # no relation with Re
         scale = max(ims) * factor
-        g = 1e-9 * scale
+        g = resonance._GROUP_TOL * scale
         res = [1.0, 1.0 + 0.6 * g, 1.0 + 1.2 * g]
         zs = [complex(re, im) for re, im in zip(res, ims)]
-        assert numeric_relation_scan(zs, 10, 8, group_tol=1e-9) is None
+        assert numeric_relation_scan(zs, 10, 8) is None
         assert scanned == [(res[0] / scale, 2), (res[2] / scale, 1)]
