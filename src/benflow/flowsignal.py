@@ -20,13 +20,17 @@ For a diagonalizable generator the shifted flow is a sum of mode
 factors e^{(lambda - r)t}, one per conjugate pair or real eigenvalue.
 Grid times come in blocks t_0 + j*step, so a block's factors are its
 start row e^{(lambda - r)t_0} times one shared table of
-e^{(lambda - r) j step}: one complex multiply per entry, no exp.  One
-real projector matrix P takes the factors to the entries of the shifted
-flow.  An observable c has the mode weights c.ravel() @ P, and its
-signal is one real GEMV of the factors with them; a norm signal first
-builds all matrices with one GEMM of P against the factors, then takes
-the row sum of squares (Frobenius), the entrywise max, a closed form
-(spectral, d = 2 and 3) or an SVD (spectral, d >= 4).
+e^{(lambda - r) j step}, with no per-sample exp.  One real projector
+matrix P takes the factors to the entries of the shifted flow.  An
+observable c has the mode weights c.ravel() @ P, read as complex
+weights p_j; its signal Re sum_j (p_j e^{mu_j t_0}) e^{mu_j j step} is
+linear in the factors, so the weights are folded into the start rows
+and a chunk of samples is one real GEMM of the weighted start rows
+against the table, with no factor array formed.  A norm signal forms
+the factors (one complex multiply per entry), builds all matrices with
+one GEMM of P against them, then takes the row sum of squares
+(Frobenius), the entrywise max, a closed form (spectral, d = 2 and 3)
+or an SVD (spectral, d >= 4).
 
 Defective generators (eigenvector condition number from _EIG_COND_LIMIT
 on) fall back to blocked powers of S = e^{(A - rI) step}: S^1..S^m are
@@ -283,8 +287,12 @@ def _eigen_logb(modes: _FlowModes, grid: SamplingGrid, b: int, functional) -> _L
 
     Grid times come in blocks of _TABLE consecutive points t_0 + j*step,
     so each factor is e^{mu t_0} (one start row per block) times the
-    shared table row e^{mu j step}: one complex multiply per entry.
-    `functional` maps the (n, 2m) real view of the factors to n values.
+    shared table row e^{mu j step}.  `functional(starts, table, n)` maps
+    a chunk's (nblocks, m) start rows and the (_TABLE, m) table to the
+    chunk's n values: an observable folds its mode weights into the
+    start rows and takes one real GEMM against the table, a norm forms
+    the factors (one complex multiply per entry) and reads its matrices
+    off them.
     """
     times = grid.times()
     lnb = math.log(b)
@@ -293,9 +301,8 @@ def _eigen_logb(modes: _FlowModes, grid: SamplingGrid, b: int, functional) -> _L
     for lo in range(0, times.size, _CHUNK):
         chunk = times[lo : lo + _CHUNK]
         starts = np.exp(np.outer(chunk[::_TABLE], modes.mu))
-        factors = (starts[:, None, :] * table).reshape(-1, modes.mu.size)[: chunk.size]
         with np.errstate(divide="ignore"):
-            out[lo : lo + _CHUNK] = np.log(np.abs(functional(factors.view(np.float64)))) / lnb
+            out[lo : lo + _CHUNK] = np.log(np.abs(functional(starts, table, chunk.size))) / lnb
     out += (modes.r / lnb) * times
     return _LogSample(out)
 
@@ -306,14 +313,21 @@ def _logb_flow(flow: ObservableOnFlow | NormOnFlow, grid: SamplingGrid, b: int) 
     modes = _FlowModes(flow.generator)
     if isinstance(flow, ObservableOnFlow):
         c = flow.observable.c.ravel()
-        w = c @ modes.proj if modes.diagonalizable else None  # the mode weights
+        # read as complex, w = c @ proj is conj(p) for the mode weights
+        # p_j = w_2j - i w_2j+1, and the signal Re sum_j p_j e^{mu_j t} is the
+        # real GEMM of conj(starts * p) = conj(starts) * w against the table
+        wbar = (c @ modes.proj).view(complex) if modes.diagonalizable else None
         on_entries = lambda entries: c @ entries
-        on_factors = lambda factors: factors @ w
+        on_blocks = lambda starts, table, n: (
+            (np.conj(starts) * wbar).view(np.float64) @ table.view(np.float64).T
+        ).ravel()[:n]
     else:
         on_entries = lambda entries: _batched_norm(entries, flow.norm)
-        on_factors = lambda factors: on_entries(modes.proj @ factors.T)
+        on_blocks = lambda starts, table, n: on_entries(
+            modes.proj @ (starts[:, None, :] * table).reshape(-1, modes.mu.size)[:n].view(np.float64).T
+        )
     if modes.diagonalizable:
-        return _eigen_logb(modes, grid, b, on_factors)
+        return _eigen_logb(modes, grid, b, on_blocks)
     return _stepping_logb(flow.generator, modes.r, grid, b, on_entries)
 
 

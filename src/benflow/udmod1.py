@@ -58,7 +58,10 @@ def _cos_2pi(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SamplingGrid:
-    """Uniform time grid on (0, T]: t_i = i*step, i = 1..n, n = floor(T / step)."""
+    """Uniform time grid on (0, T]: t_i = i*step, i = 1..n, n = floor(T / step).
+
+    T / step must be finite.
+    """
 
     T: float
     step: float
@@ -68,6 +71,8 @@ class SamplingGrid:
             raise UsageError("need T > 0, step > 0")
         if self.step >= self.T:
             raise UsageError("step must be smaller than the horizon")
+        if not math.isfinite(self.T / self.step):
+            raise UsageError(f"horizon / step must be finite, got {self.T} / {self.step}")
         if self.count < MIN_SAMPLES:
             raise UsageError(f"grid yields only {self.count} samples; need >= {MIN_SAMPLES}")
 

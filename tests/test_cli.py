@@ -299,6 +299,12 @@ class TestBenfordCommand:
         assert out == ""
         assert err.startswith("error: ") and "must be finite" in err and "Traceback" not in err
 
+    def test_non_finite_sample_count_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "--horizon", "1e300", "--step", "1e-300", "benford", "--synthetic", "r=1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and "must be finite" in err and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "source, signal",
         [

@@ -29,9 +29,10 @@ SHORT = SamplingGrid(T=6.0, step=0.05)  # 120 samples
 LN10 = math.log(10)
 
 
-def block_generator(seed: int, blocks, orthogonal: bool = False) -> np.ndarray:
-    """S B S^-1 with B block-diagonal: ("spiral", a, w) is [[a, -w], [w, a]],
-    ("real", c) is [c], ("jordan", lam, k) a k x k Jordan block."""
+def block_parts(seed: int, blocks, orthogonal: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """S and B of A = S B S^-1, B block-diagonal: ("spiral", a, w) is
+    [[a, -w], [w, a]], ("real", c) is [c], ("jordan", lam, k) a k x k
+    Jordan block.  S is orthogonal when asked."""
     parts = []
     for kind, *args in blocks:
         if kind == "spiral":
@@ -47,10 +48,15 @@ def block_generator(seed: int, blocks, orthogonal: bool = False) -> np.ndarray:
     d = b.shape[0]
     q1, _ = np.linalg.qr(rng.standard_normal((d, d)))
     if orthogonal:
-        return q1 @ b @ q1.T
+        return q1, b
     q2, _ = np.linalg.qr(rng.standard_normal((d, d)))
-    s = q1 @ np.diag(rng.uniform(0.5, 2.0, d)) @ q2
-    return s @ b @ np.linalg.inv(s)
+    return q1 @ np.diag(rng.uniform(0.5, 2.0, d)) @ q2, b
+
+
+def block_generator(seed: int, blocks, orthogonal: bool = False) -> np.ndarray:
+    """S B S^-1 for `block_parts`' S and B."""
+    s, b = block_parts(seed, blocks, orthogonal)
+    return s @ b @ (s.T if orthogonal else np.linalg.inv(s))
 
 
 def reference_propagators(a: np.ndarray, grid: SamplingGrid):
@@ -129,6 +135,41 @@ def test_path_matches_60_digit_reference(label, spec, grid, bound):
     else:
         # norms never come near zero: plain relative error
         assert np.max(np.abs(np.expm1((sample.values - ref) * LN10))) <= bound
+
+
+# 200,500 samples: a full first chunk of 200,000 and a partial second one
+BOUNDARY_GRID = SamplingGrid(T=20.05, step=1e-4)
+# either side of the first table block edge (1024), of the chunk edge, and the last sample
+BOUNDARY_INDICES = [1022, 1023, 1024, 1025, 199_999, 200_000, 200_001, 200_499]
+BOUNDARY_CASES = [
+    ("real mode", ObservableOnFlow(np.array([[0.7]]), Observable(np.array([[1.5]])))),
+    # a lone real mode has mu = lambda - r = 0, so only here do real factors vary
+    ("two real modes", ObservableOnFlow(block_generator(13, [("real", 0.7), ("real", -0.4)]), Observable(np.array([[1.0, 2.0], [-1.0, 0.5]])))),
+    ("complex pair", ObservableOnFlow(block_generator(11, [("spiral", 1.0, 2.0)]), Observable(np.array([[1.0, -2.0], [0.5, 1.0]])))),
+    ("mixed m=4", ObservableOnFlow(
+        block_generator(12, [("spiral", 0.8, 1.6), ("spiral", 0.3, 1.3), ("real", 0.1), ("real", -0.5)]),
+        Observable(np.arange(36.0).reshape(6, 6) % 7 - 3),
+    )),
+]
+
+
+@pytest.mark.parametrize("label, spec", BOUNDARY_CASES, ids=[c[0] for c in BOUNDARY_CASES])
+def test_eigen_observable_across_block_and_chunk_edges(label, spec):
+    """Samples either side of the table block and chunk edges, against
+    e^{At} in 60 digits at those times alone."""
+    assert BOUNDARY_GRID.count == 200_500
+    sample = sample_log_signal(spec, BOUNDARY_GRID, 10)
+    assert sample.values.size == BOUNDARY_GRID.count
+    times = BOUNDARY_GRID.times()[BOUNDARY_INDICES]
+    c = spec.observable.c.ravel()
+    ref = []
+    with mp.workdps(DIGITS):
+        big = mp.matrix(spec.generator.tolist())
+        for t in times:
+            e = mp.expm(big * mp.mpf(float(t)))
+            f = mp.fsum(mp.mpf(float(w)) * x for w, x in zip(c, e))
+            ref.append(float(mp.log10(abs(f))))
+    assert running_scale_error(sample.values[BOUNDARY_INDICES], np.array(ref)) <= 1e-13
 
 
 class TestSpectralNorm3x3:

@@ -24,7 +24,7 @@ from benflow.flowsignal import (
 )
 from benflow.significand import digit_frequencies, empirical_distance, first_digit, fractions_of_logs
 from benflow.udmod1 import SamplingGrid
-from test_sampler_paths import CASES
+from test_sampler_paths import CASES, block_parts
 
 CONFIG = RunConfig()
 EDGE_BAND = 1e-12
@@ -79,6 +79,51 @@ LONG = SamplingGrid(T=300.0, step=0.01)  # 30,000 samples
 def test_sampler_signals_match_significand_route(label, spec):
     report = benford_verdict(spec, 10, LONG, config=CONFIG)
     assert_matches_route(report, sample_log_signal(spec, LONG, 10).values)
+
+
+def closed_form_log10(s: np.ndarray, b: np.ndarray, c: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """log10|sum c_jk (S e^{tB} S^-1)_jk| for B of 2x2 rotation-scaling and
+    1x1 blocks, from S e^{t(B - rI)} S^-1 with the blocks in closed form."""
+    g = np.linalg.solve(s, c.T @ s)  # sum c_jk M_jk = tr(c^T M) = tr(G e^{tB})
+    r = float(np.diagonal(b).max())
+    acc = np.zeros(t.size)
+    i = 0
+    while i < b.shape[0]:
+        decay = np.exp((b[i, i] - r) * t)
+        if i + 1 < b.shape[0] and b[i + 1, i] != 0.0:
+            w = b[i + 1, i]
+            cos, sin = decay * np.cos(w * t), decay * np.sin(w * t)
+            acc += (g[i, i] + g[i + 1, i + 1]) * cos + (g[i, i + 1] - g[i + 1, i]) * sin
+            i += 2
+        else:
+            acc += g[i, i] * decay
+            i += 1
+    with np.errstate(divide="ignore"):
+        return (r * t + np.log(np.abs(acc))) / math.log(10)
+
+
+# the verdicts benchmark's shapes: nonresonant d = 2, and d = 3 with the
+# dominant pair 1 +- i pi/ln 10, resonant in base 10
+@pytest.mark.parametrize(
+    "blocks, verdict",
+    [([("spiral", 1.0, 2.0)], "BENFORD_PASS"), ([("spiral", 1.0, math.pi / math.log(10)), ("real", 0.4)], "FAIL")],
+    ids=["d2 nonresonant", "d3 resonant"],
+)
+def test_eigen_path_statistics_match_closed_form(blocks, verdict):
+    s, b = block_parts(21, blocks)
+    c = np.random.default_rng(22).standard_normal(b.shape)
+    grid = CONFIG.grid
+    report = benford_verdict(ObservableOnFlow(s @ b @ np.linalg.inv(s), Observable(c)), config=CONFIG)
+    th = CONFIG.thresholds
+    ref = significand_route(closed_form_log10(s, b, c, grid.times()), 10, th.zero_rel, CONFIG.weyl_k)
+    assert abs(report.excluded_sample_count - ref["excluded"]) <= 3
+    counts = report.digit_histogram.counts
+    assert max(abs(counts.get(d, 0) - ref["digits"].get(d, 0)) for d in range(1, 10)) <= 3
+    assert abs(report.significand_distance - ref["distance"]) <= 1e-5
+    assert max(abs(report.weyl.magnitudes[k] - mag) for k, mag in ref["weyl"].items()) <= 1e-5
+    kept = grid.count - ref["excluded"]
+    passes = ref["distance"] < th.distance and max(ref["weyl"].values()) < th.weyl_multiplier / math.sqrt(kept)
+    assert report.verdict == verdict == ("BENFORD_PASS" if passes else "FAIL")
 
 
 @pytest.mark.parametrize("b", [10, 3])

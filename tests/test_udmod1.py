@@ -60,6 +60,11 @@ class TestSamplingGrid:
         with pytest.raises(UsageError):
             SamplingGrid(T=1.0, step=2.0)
 
+    @pytest.mark.parametrize("T, step", [(math.inf, 0.01), (1e300, 1e-300)])
+    def test_non_finite_count_rejected(self, T, step):
+        with pytest.raises(UsageError, match="must be finite"):
+            SamplingGrid(T=T, step=step)
+
 
 class TestWeylSums:
     def test_constant_zero_sequence(self):
