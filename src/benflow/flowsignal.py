@@ -17,20 +17,18 @@ e^{tA} e^{-rt} = e^{t(A - rI)} stays bounded, so log|f| = r t +
 log|shifted signal| is computed without overflow.
 
 For a diagonalizable generator the shifted flow is a sum of mode
-factors e^{(lambda - r)t}, one per conjugate pair or real eigenvalue.
-Grid times come in blocks t_0 + j*step, so a block's factors are its
-start row e^{(lambda - r)t_0} times one shared table of
-e^{(lambda - r) j step}, with no per-sample exp.  One real projector
-matrix P takes the factors to the entries of the shifted flow.  An
-observable c has the mode weights c.ravel() @ P, read as complex
-weights p_j; its signal Re sum_j (p_j e^{mu_j t_0}) e^{mu_j j step} is
-linear in the factors, so the weights are folded into the start rows
-and a chunk of samples is one real GEMM of the weighted start rows
-against the table, with no factor array formed.  A norm signal forms
-the factors (one complex multiply per entry), builds all matrices with
-one GEMM of P against them, then takes the row sum of squares
-(Frobenius), the entrywise max, a closed form (spectral, d = 2 and 3)
-or an SVD (spectral, d >= 4).
+factors e^{(lambda - r)t}, one per conjugate pair or real eigenvalue,
+so every signal is read off mode sums Re sum_j w_j e^{(lambda_j - r)t}
+of complex weight rows w: entry (i, k) of the shifted flow is the mode
+sum of projector weight row i*d + k, and an observable c is the one
+row c.ravel() @ weights.  Grid times come in blocks t_0 + j*step, so a
+block's factors are its start row e^{(lambda - r)t_0} times one shared
+table of e^{(lambda - r) j step}: the weight rows are folded into the
+start rows, and a chunk of samples of all rows is one real GEMM against
+the table, with no per-sample exp and no factor array.  An observable
+takes its one row of sums; a norm reads the d*d entry rows and takes
+their sum of squares (Frobenius), the entrywise max, a closed form
+(spectral, d = 2 and 3) or an SVD (spectral, d >= 4).
 
 Defective generators (eigenvector condition number from _EIG_COND_LIMIT
 on) fall back to blocked powers of S = e^{(A - rI) step}: S^1..S^m are
@@ -257,11 +255,11 @@ class _FlowModes:
     """Eigendecomposition of a generator, in the form sampling reads.
 
     Only the Im >= 0 representative of each conjugate pair is kept
-    (`mu` = lambda - r).  For a diagonalizable generator, `proj` is the
-    real (d*d, 2m) matrix with proj @ f = the entries of e^{(A - rI)t},
-    f the float view of the mode factors at t, row i*d + k for entry
-    (i, k): the rank-one projectors v_j u_j^T (u_j^T the rows of V^-1),
-    doubled for pairs and interleaved as (Re, -Im) per mode.
+    (`mu` = lambda - r).  For a diagonalizable generator, `weights` is
+    the C-contiguous complex (d*d, m) array of entry weights: entry
+    (i, k) of e^{(A - rI)t} is Re sum_j weights[i*d + k, j] e^{mu_j t},
+    the rank-one projectors v_j u_j^T (u_j^T the rows of V^-1), doubled
+    for pairs.
     """
 
     def __init__(self, a: np.ndarray):
@@ -275,67 +273,64 @@ class _FlowModes:
         self.diagonalizable = cond < _EIG_COND_LIMIT
         keep = lam.imag >= 0
         self.mu = (lam[keep] - self.r).astype(complex)
-        self.proj = None
+        self.weights = None
         if self.diagonalizable:
             doubled = vinv[keep] * np.where(self.mu.imag > 0, 2.0, 1.0)[:, None]
-            p = np.einsum("ij,jk->ikj", vecs[:, keep], doubled)
-            self.proj = np.stack([p.real, -p.imag], axis=-1).reshape(a.size, -1)
+            self.weights = np.ascontiguousarray((vecs[:, keep][:, None, :] * doubled.T).reshape(a.size, -1))
 
 
-def _eigen_logb(modes: _FlowModes, grid: SamplingGrid, b: int, functional) -> _LogSample:
-    """Sample a functional of the shifted mode factors e^{(lambda - r) t}.
+def _eigen_logb(modes: _FlowModes, weights: np.ndarray, grid: SamplingGrid, b: int, functional) -> _LogSample:
+    """Sample a functional of the mode sums Re sum_j w_j e^{mu_j t}, one
+    per row w of the C-contiguous complex (rows, m) `weights`.
 
     Grid times come in blocks of _TABLE consecutive points t_0 + j*step,
     so each factor is e^{mu t_0} (one start row per block) times the
-    shared table row e^{mu j step}.  `functional(starts, table, n)` maps
-    a chunk's (nblocks, m) start rows and the (_TABLE, m) table to the
-    chunk's n values: an observable folds its mode weights into the
-    start rows and takes one real GEMM against the table, a norm forms
-    the factors (one complex multiply per entry) and reads its matrices
-    off them.
+    shared table row e^{mu j step}.  Each row's weights are folded into
+    the start rows, and the sums of all rows over a chunk are one real
+    GEMM against the table.  `functional` maps the (rows, blocks,
+    _TABLE) sums to (blocks, _TABLE) values; the last block runs past
+    the chunk, so its tail is cut after the functional.
     """
     times = grid.times()
     lnb = math.log(b)
-    table = np.exp(np.outer(grid.step * np.arange(_TABLE), modes.mu))
+    # Re(x y) is the real dot product of x and conj(y) read as floats
+    table = np.conj(np.exp(np.outer(grid.step * np.arange(_TABLE), modes.mu))).view(np.float64)
     out = np.empty(times.size)
     for lo in range(0, times.size, _CHUNK):
         chunk = times[lo : lo + _CHUNK]
-        starts = np.exp(np.outer(chunk[::_TABLE], modes.mu))
-        with np.errstate(divide="ignore"):
-            out[lo : lo + _CHUNK] = np.log(np.abs(functional(starts, table, chunk.size))) / lnb
+        folded = weights[:, None, :] * np.exp(np.outer(chunk[::_TABLE], modes.mu))
+        sums = (folded.view(np.float64).reshape(-1, table.shape[1]) @ table.T).reshape(*folded.shape[:2], _TABLE)
+        # |values| go straight into `out`: per-chunk temporaries each cost fresh pages
+        np.abs(functional(sums).ravel()[: chunk.size], out=out[lo : lo + _CHUNK])
+    with np.errstate(divide="ignore"):
+        np.log(out, out=out)
+    out /= lnb
     out += (modes.r / lnb) * times
     return _LogSample(out)
 
 
 def _logb_flow(flow: ObservableOnFlow | NormOnFlow, grid: SamplingGrid, b: int) -> _LogSample:
     """log_b|H(e^{tA})| for an observable or norm H, from one eigensolve:
-    the eigen path for a diagonalizable generator, stepping otherwise."""
+    the eigen path gives a norm its d*d entry rows of mode sums and an
+    observable its one row; stepping gives both the (d*d, n) entries."""
     modes = _FlowModes(flow.generator)
-    if isinstance(flow, ObservableOnFlow):
-        c = flow.observable.c.ravel()
-        # read as complex, w = c @ proj is conj(p) for the mode weights
-        # p_j = w_2j - i w_2j+1, and the signal Re sum_j p_j e^{mu_j t} is the
-        # real GEMM of conj(starts * p) = conj(starts) * w against the table
-        wbar = (c @ modes.proj).view(complex) if modes.diagonalizable else None
-        on_entries = lambda entries: c @ entries
-        on_blocks = lambda starts, table, n: (
-            (np.conj(starts) * wbar).view(np.float64) @ table.view(np.float64).T
-        ).ravel()[:n]
-    else:
-        on_entries = lambda entries: _batched_norm(entries, flow.norm)
-        on_blocks = lambda starts, table, n: on_entries(
-            modes.proj @ (starts[:, None, :] * table).reshape(-1, modes.mu.size)[:n].view(np.float64).T
-        )
+    if isinstance(flow, NormOnFlow):
+        norm = lambda entries: _batched_norm(entries, flow.norm)
+        if modes.diagonalizable:
+            return _eigen_logb(modes, modes.weights, grid, b, norm)
+        return _stepping_logb(flow.generator, modes.r, grid, b, norm)
+    c = flow.observable.c.ravel()
     if modes.diagonalizable:
-        return _eigen_logb(modes, grid, b, on_blocks)
-    return _stepping_logb(flow.generator, modes.r, grid, b, on_entries)
+        return _eigen_logb(modes, c[None] @ modes.weights, grid, b, lambda sums: sums[0])
+    return _stepping_logb(flow.generator, modes.r, grid, b, lambda entries: c @ entries)
 
 
 def _batched_norm(entries: np.ndarray, kind: str) -> np.ndarray:
-    """Norms of d x d matrices stored by entry: row i*d + k of the
-    (d*d, n) array holds entry (i, k) of all n matrices."""
+    """Norms of d x d matrices stored by entry: entries[i*d + k] holds
+    entry (i, k) of all matrices, over any trailing batch shape, which
+    the result takes."""
     if kind == "frobenius":
-        return np.sqrt(np.einsum("en,en->n", entries, entries))
+        return np.sqrt(np.einsum("e...,e...->...", entries, entries))
     if kind == "max":
         return np.max(np.abs(entries), axis=0)
     d = math.isqrt(entries.shape[0])
@@ -345,7 +340,7 @@ def _batched_norm(entries: np.ndarray, kind: str) -> np.ndarray:
         return 0.5 * (np.hypot(a + e, c - b) + np.hypot(a - e, b + c))
     if d == 3:
         return _spectral_norm_3x3(entries)
-    return np.linalg.svd(entries.T.reshape(-1, d, d), compute_uv=False)[:, 0]
+    return np.linalg.svd(np.moveaxis(entries, 0, -1).reshape(*entries.shape[1:], d, d), compute_uv=False)[..., 0]
 
 
 # Where 12 x^2 - 3 (x = cos phi below) falls under this, the top two Gram
@@ -354,7 +349,8 @@ _TRIG_SPLIT_FLOOR = 0.05
 
 
 def _spectral_norm_3x3(entries: np.ndarray) -> np.ndarray:
-    """Largest singular value of 3x3 matrices stored by entry.
+    """Largest singular value of 3x3 matrices stored by entry, as in
+    `_batched_norm`: entries[3*i + k] is M_ik over any trailing batch shape.
 
     The top eigenvalue of the Gram matrix G = M^T M in closed form:
     with q = tr G / 3, p^2 = |G - qI|_F^2 / 6 and cos 3phi = det(G - qI) / 2p^3,
@@ -362,9 +358,9 @@ def _spectral_norm_3x3(entries: np.ndarray) -> np.ndarray:
     is ill-conditioned (d lambda / d cos 3phi = 2p / (12 cos^2 phi - 3)),
     so those few matrices go through SVD instead.
     """
-    col = entries.reshape(3, 3, -1).transpose(1, 0, 2)  # col[k][i] = M_ik
-    g00, g11, g22 = (np.einsum("in,in->n", c, c) for c in col)
-    g01, g02, g12 = (np.einsum("in,in->n", col[k], col[l]) for k, l in ((0, 1), (0, 2), (1, 2)))
+    col = np.swapaxes(entries.reshape(3, 3, *entries.shape[1:]), 0, 1)  # col[k][i] = M_ik
+    g00, g11, g22 = (np.einsum("i...,i...->...", c, c) for c in col)
+    g01, g02, g12 = (np.einsum("i...,i...->...", col[k], col[l]) for k, l in ((0, 1), (0, 2), (1, 2)))
     q = (g00 + g11 + g22) / 3.0
     b00, b11, b22 = g00 - q, g11 - q, g22 - q
     p = np.sqrt((b00 * b00 + b11 * b11 + b22 * b22 + 2.0 * (g01 * g01 + g02 * g02 + g12 * g12)) / 6.0)

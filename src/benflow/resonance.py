@@ -378,7 +378,8 @@ def numeric_relation_scan(zs: Iterable[complex], b: int, height: int = 8) -> Int
 
 
 def _scan_group(re: float, gens: list[float], height: int) -> tuple[int, list[int]] | None:
-    """Relation q*re = sum p_l gens_l with all coefficients <= height."""
+    """Candidate relation q*re = sum p_l gens_l with all coefficients <= height;
+    numeric_relation_scan checks its residual."""
     if abs(re) < 1e-300:
         return 1, [0] * len(gens)
     if len(gens) == 1:
@@ -386,9 +387,7 @@ def _scan_group(re: float, gens: list[float], height: int) -> tuple[int, list[in
         if fit is None:
             return None
         p, q = fit
-        if abs(q * re - p * gens[0]) < _RESIDUAL_TOL:
-            return q, [p]
-        return None
+        return q, [p]
     # a PSLQ relation among the generators alone: drop its largest generator and retry
     with mpmath.workdps(50):
         rel = _pslq_relation([mpmath.mpf(re)] + [mpmath.mpf(g) for g in gens], height)

@@ -81,7 +81,10 @@ class SamplingGrid:
         return int(math.floor(self.T / self.step))
 
     def times(self) -> np.ndarray:
-        return self.step * np.arange(1, self.count + 1)
+        try:
+            return self.step * np.arange(1, self.count + 1)
+        except MemoryError:
+            raise UsageError(f"a grid of {self.count} samples does not fit in memory") from None
 
 
 @dataclass(frozen=True)

@@ -305,6 +305,13 @@ class TestBenfordCommand:
         assert out == ""
         assert err.startswith("error: ") and "must be finite" in err and "Traceback" not in err
 
+    def test_unallocatable_sample_count_exit_2(self, capsys):
+        # 1e17 samples on the default step: refused at once, nothing is allocated
+        code, out, err = run_cli(capsys, "--horizon", "1e15", "benford", "--synthetic", "r=1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and "does not fit in memory" in err and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "source, signal",
         [

@@ -3,10 +3,12 @@
 Each path of `sample_log_signal` (eigen-path observables, the spectral
 norm closed forms for d = 2 and 3, SVD for d >= 4, Frobenius and max
 norms, and the stepping fallback for defective generators) is compared
-with e^{tA} evaluated in 60-digit arithmetic by mpmath on a short grid.
-The 3x3 spectral closed form is compared with numpy's SVD on batches
-chosen to hit its degenerate cases, and the stepping fallback's
-truncation with a per-step loop.
+with e^{tA} evaluated in 60-digit arithmetic by mpmath on a short grid,
+and the eigen path also across its table block and chunk edges.  The
+3x3 spectral closed form is compared with numpy's SVD on batches chosen
+to hit its degenerate cases, the norm kernels on a strided batch with
+their 2-D call, and the stepping fallback's truncation with a per-step
+loop.
 """
 import math
 
@@ -19,6 +21,7 @@ from benflow.flowsignal import (
     NormOnFlow,
     Observable,
     ObservableOnFlow,
+    _batched_norm,
     _spectral_norm_3x3,
     sample_log_signal,
 )
@@ -72,22 +75,22 @@ def reference_propagators(a: np.ndarray, grid: SamplingGrid):
         return out
 
 
-def reference_log10(spec, grid: SamplingGrid) -> np.ndarray:
+def reference_signal(spec, e) -> mp.mpf:
+    """The signal of one 60-digit propagator e: the observable, or the norm."""
     d = spec.generator.shape[0]
-    values = []
+    entries = [e[i, k] for i in range(d) for k in range(d)]
+    if isinstance(spec, ObservableOnFlow):
+        return mp.fsum(mp.mpf(float(c)) * x for c, x in zip(spec.observable.c.ravel(), entries))
+    if spec.norm == "frobenius":
+        return mp.sqrt(mp.fsum(x * x for x in entries))
+    if spec.norm == "max":
+        return max(abs(x) for x in entries)
+    return max(mp.svd_r(e, compute_uv=False))
+
+
+def reference_log10(spec, grid: SamplingGrid) -> np.ndarray:
     with mp.workdps(DIGITS):
-        for e in reference_propagators(spec.generator, grid):
-            entries = [e[i, k] for i in range(d) for k in range(d)]
-            if isinstance(spec, ObservableOnFlow):
-                f = mp.fsum(mp.mpf(float(c)) * x for c, x in zip(spec.observable.c.ravel(), entries))
-            elif spec.norm == "frobenius":
-                f = mp.sqrt(mp.fsum(x * x for x in entries))
-            elif spec.norm == "max":
-                f = max(abs(x) for x in entries)
-            else:
-                f = max(mp.svd_r(e, compute_uv=False))
-            values.append(float(mp.log10(abs(f))))
-    return np.array(values)
+        return np.array([float(mp.log10(abs(reference_signal(spec, e)))) for e in reference_propagators(spec.generator, grid)])
 
 
 def running_scale_error(got: np.ndarray, ref: np.ndarray) -> float:
@@ -150,25 +153,26 @@ BOUNDARY_CASES = [
         block_generator(12, [("spiral", 0.8, 1.6), ("spiral", 0.3, 1.3), ("real", 0.1), ("real", -0.5)]),
         Observable(np.arange(36.0).reshape(6, 6) % 7 - 3),
     )),
+    # norms read all d*d entry rows of the same block sums
+    ("spectral d2", NormOnFlow(block_generator(14, [("spiral", 1.0, 2.0)]), "spectral")),
+    ("spectral d3", NormOnFlow(block_generator(15, SPIRAL3), "spectral")),
+    ("spectral d4", NormOnFlow(block_generator(16, SPIRAL4), "spectral")),
+    ("frobenius d4", NormOnFlow(block_generator(17, SPIRAL4), "frobenius")),
+    ("max d3", NormOnFlow(block_generator(18, SPIRAL3), "max")),
 ]
 
 
 @pytest.mark.parametrize("label, spec", BOUNDARY_CASES, ids=[c[0] for c in BOUNDARY_CASES])
-def test_eigen_observable_across_block_and_chunk_edges(label, spec):
+def test_eigen_path_across_block_and_chunk_edges(label, spec):
     """Samples either side of the table block and chunk edges, against
     e^{At} in 60 digits at those times alone."""
     assert BOUNDARY_GRID.count == 200_500
     sample = sample_log_signal(spec, BOUNDARY_GRID, 10)
     assert sample.values.size == BOUNDARY_GRID.count
     times = BOUNDARY_GRID.times()[BOUNDARY_INDICES]
-    c = spec.observable.c.ravel()
-    ref = []
     with mp.workdps(DIGITS):
         big = mp.matrix(spec.generator.tolist())
-        for t in times:
-            e = mp.expm(big * mp.mpf(float(t)))
-            f = mp.fsum(mp.mpf(float(w)) * x for w, x in zip(c, e))
-            ref.append(float(mp.log10(abs(f))))
+        ref = [float(mp.log10(abs(reference_signal(spec, mp.expm(big * mp.mpf(float(t))))))) for t in times]
     assert running_scale_error(sample.values[BOUNDARY_INDICES], np.array(ref)) <= 1e-13
 
 
@@ -220,6 +224,30 @@ class TestSpectralNorm3x3:
         s = np.stack([np.ones(self.N), rng.uniform(0.0, 0.9, self.N), np.zeros(self.N)], 1)
         s[:, 2] = s[:, 1] * (1.0 - 10 ** rng.uniform(-16, 0, self.N))
         assert self.relative_error(self.with_singular_values(rng, s)) <= 1e-13
+
+
+@pytest.mark.parametrize("kind, d", [("frobenius", 4), ("max", 3), ("spectral", 2), ("spectral", 3), ("spectral", 5)])
+def test_norm_kernels_read_any_batch_shape(kind, d, monkeypatch):
+    """Entries on axis 0 of a strided (d*d, blocks, offsets) view give the
+    2-D call's norms bit for bit, in the view's batch shape."""
+    rng = np.random.default_rng(20 + d)
+    blocks, offsets = 6, 50
+    mats = rng.standard_normal((blocks * offsets, d, d))
+    if d == 3:
+        # a near-double top, as in TestSpectralNorm3x3: the closed form hands these to SVD
+        s = np.stack([np.ones(offsets), 1.0 - 10 ** rng.uniform(-16, -8, offsets), rng.uniform(0.0, 0.9, offsets)], 1)
+        mats[:offsets] = TestSpectralNorm3x3().with_singular_values(rng, s)
+    flat = np.ascontiguousarray(mats.reshape(-1, d * d).T)
+    strided = np.ascontiguousarray(flat.reshape(d * d, blocks, offsets).swapaxes(0, 1)).swapaxes(0, 1)
+    assert not strided.flags.c_contiguous
+    svd_calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda m, **kw: svd_calls.append(m.shape) or svd(m, **kw))
+    got = _batched_norm(strided, kind)
+    assert got.shape == (blocks, offsets)
+    assert np.array_equal(got.ravel(), _batched_norm(flat, kind))
+    if kind == "spectral" and d == 3:
+        assert svd_calls and svd_calls[0][0] >= offsets
 
 
 def stepping_reference(a: np.ndarray, grid: SamplingGrid, entry: tuple[int, int]):

@@ -65,6 +65,12 @@ class TestSamplingGrid:
         with pytest.raises(UsageError, match="must be finite"):
             SamplingGrid(T=T, step=step)
 
+    def test_unallocatable_grid_is_a_usage_error(self):
+        # 1e17 samples (711 PiB of times) are refused at once: nothing is allocated
+        grid = SamplingGrid(T=1e15, step=1e-2)
+        with pytest.raises(UsageError, match=f"{grid.count} samples"):
+            grid.times()
+
 
 class TestWeylSums:
     def test_constant_zero_sequence(self):
