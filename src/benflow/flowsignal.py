@@ -8,13 +8,21 @@ samples, and judge the fractional parts u of the kept logs, sorted
 once: their KS distance from uniform (the significand sup-distance),
 their digit counts and their Weyl magnitudes, which come from power
 sums of the in-cell parts of u within 4096 cells (`udmod1.sorted_weyl_sums`),
-not from one complex exponential per sample.  Every verdict setting
-(base, grid, thresholds, number of Weyl frequencies) comes from one
-RunConfig; the entry points take it as the keyword `config`.
+not from one complex exponential per sample.  The log samples and u
+are the only grid-long arrays a verdict holds: the exclusion (a running
+max carried from slice to slice), the fractions, the KS distance and
+the Weyl power sums (over groups of whole cells) run over slices of
+`significand.SLICE` samples, whose temporaries stay in cache and reuse
+the same pages.  Every verdict setting (base, grid, thresholds, number
+of Weyl frequencies) comes from one RunConfig; the entry points take it
+as the keyword `config`.
 
 Sampling works with the shifted flow: with r the spectral abscissa,
 e^{tA} e^{-rt} = e^{t(A - rI)} stays bounded, so log|f| = r t +
-log|shifted signal| is computed without overflow.
+log|shifted signal| is computed without overflow.  The sampler writes
+|shifted signal| into its output and turns it into log_b|f| in place,
+one slice at a time, with that slice's grid times formed there
+(`_log_tail`); no whole-grid array of times is formed.
 
 For a diagonalizable generator the shifted flow is a sum of mode
 factors e^{(lambda - r)t}, one per conjugate pair or real eigenvalue,
@@ -46,7 +54,15 @@ import numpy as np
 from .config import RunConfig, Tolerances, VerdictThresholds
 from .errors import DomainError, SignalOverflowError, UnsupportedStructureError, UsageError
 from .matrixcore import as_square_matrix, expm, spectrum
-from .significand import DigitHistogram, digit_counts, fractions_of_logs, log_fractions, uniform_distance, validate_base
+from .significand import (
+    SLICE,
+    DigitHistogram,
+    digit_counts,
+    fractions_into,
+    log_fractions_unsorted,
+    uniform_distance,
+    validate_base,
+)
 from .udmod1 import MIN_SAMPLES, SamplingGrid, WeylReport
 
 _EIG_COND_LIMIT = 1e8
@@ -289,24 +305,38 @@ def _eigen_logb(modes: _FlowModes, weights: np.ndarray, grid: SamplingGrid, b: i
     the start rows, and the sums of all rows over a chunk are one real
     GEMM against the table.  `functional` maps the (rows, blocks,
     _TABLE) sums to (blocks, _TABLE) values; the last block runs past
-    the chunk, so its tail is cut after the functional.
+    the chunk, so its tail is cut after the functional.  Their absolute
+    values go straight into the output, where `_log_tail` turns them
+    into log_b|f|; no grid-long array but the output is formed.
     """
-    times = grid.times()
-    lnb = math.log(b)
+    n = grid.count
     # Re(x y) is the real dot product of x and conj(y) read as floats
     table = np.conj(np.exp(np.outer(grid.step * np.arange(_TABLE), modes.mu))).view(np.float64)
-    out = np.empty(times.size)
-    for lo in range(0, times.size, _CHUNK):
-        chunk = times[lo : lo + _CHUNK]
-        folded = weights[:, None, :] * np.exp(np.outer(chunk[::_TABLE], modes.mu))
+    out = grid.empty()
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        starts = grid.step * np.arange(lo + 1, hi + 1, _TABLE)  # the block start times t_0
+        folded = weights[:, None, :] * np.exp(np.outer(starts, modes.mu))
         sums = (folded.view(np.float64).reshape(-1, table.shape[1]) @ table.T).reshape(*folded.shape[:2], _TABLE)
-        # |values| go straight into `out`: per-chunk temporaries each cost fresh pages
-        np.abs(functional(sums).ravel()[: chunk.size], out=out[lo : lo + _CHUNK])
-    with np.errstate(divide="ignore"):
-        np.log(out, out=out)
-    out /= lnb
-    out += (modes.r / lnb) * times
+        np.abs(functional(sums).ravel()[: hi - lo], out=out[lo:hi])
+        _log_tail(out, lo, hi, grid.step, modes.r, b)
     return _LogSample(out)
+
+
+def _log_tail(out: np.ndarray, lo: int, hi: int, step: float, r: float, b: int) -> None:
+    """Turn out[lo:hi], |shifted signal| at the grid times t_{lo+1}..t_hi,
+    into log_b|f| = log|shifted| / ln b + r t / ln b in place, SLICE
+    samples at a time.  step * (i + 1) is bit-equal to grid.times()[i]."""
+    lnb = math.log(b)
+    shift = r / lnb
+    for start in range(lo, hi, SLICE):
+        part = out[start : min(start + SLICE, hi)]
+        with np.errstate(divide="ignore"):
+            np.log(part, out=part)
+        part /= lnb
+        times = step * np.arange(start + 1, start + part.size + 1)
+        times *= shift
+        part += times
 
 
 def _logb_flow(flow: ObservableOnFlow | NormOnFlow, grid: SamplingGrid, b: int) -> _LogSample:
@@ -381,9 +411,11 @@ def _stepping_logb(a: np.ndarray, r: float, grid: SamplingGrid, b: int, function
     once; a chunk of samples is then the stack of block bases S^{km},
     k = 0, 1, ... (one small product each), times [S^1 | ... | S^m], a
     single GEMM, and `functional` maps the chunk's (d*d, n) entries to n
-    values.  The shifted propagator grows at most polynomially, so
-    overflow can only come from extreme Jordan structure; the horizon is
-    then truncated at the first non-finite propagator and reported.
+    values, whose absolute values go into the output for `_log_tail` to
+    turn into log_b|f|.  The shifted propagator grows at most
+    polynomially, so overflow can only come from extreme Jordan
+    structure; the horizon is then truncated at the first non-finite
+    propagator and reported, and the output cut there.
     """
     d = a.shape[0]
     step_mat = expm(a - r * np.eye(d), grid.step)
@@ -391,15 +423,14 @@ def _stepping_logb(a: np.ndarray, r: float, grid: SamplingGrid, b: int, function
     for _ in range(_POWERS - 1):
         powers.append(powers[-1] @ step_mat)
     side = np.concatenate(powers, axis=1)  # (d, m*d), block j is S^{j+1}
-    times = grid.times()
-    lnb = math.log(b)
-    out = np.empty(times.size)
+    n = grid.count
+    out = grid.empty()
     base = np.eye(d)
-    kept, truncated_at = times.size, None
+    kept, truncated_at = n, None
     span = _CHUNK // _POWERS * _POWERS
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for lo in range(0, times.size, span):
-            count = min(span, times.size - lo)
+        for lo in range(0, n, span):
+            count = min(span, n - lo)
             nblocks = -(-count // _POWERS)
             bases = np.empty((nblocks, d, d))
             for k in range(nblocks):
@@ -410,14 +441,14 @@ def _stepping_logb(a: np.ndarray, r: float, grid: SamplingGrid, b: int, function
             bad = ~np.isfinite(entries).all(axis=0)
             if bad.any():
                 count = int(np.argmax(bad))
-                kept, truncated_at = lo + count, float(times[lo + count])
+                kept, truncated_at = lo + count, float(grid.step * (lo + count + 1))
                 entries = entries[:, :count]
             if count:
-                out[lo : lo + count] = np.log(np.abs(functional(entries))) / lnb
+                np.abs(functional(entries), out=out[lo : lo + count])
+                _log_tail(out, lo, lo + count, grid.step, r, b)
             if truncated_at is not None:
                 break
-    out = out[:kept] + (r / lnb) * times[:kept]
-    return _LogSample(out, truncated_at=truncated_at)
+    return _LogSample(out[:kept], truncated_at=truncated_at)
 
 
 def _logb_synthetic(spec: Synthetic, grid: SamplingGrid, b: int) -> _LogSample:
@@ -506,21 +537,36 @@ def _verdict_from_logb(
     from them, so values on a digit edge land in that digit."""
     thresholds = config.thresholds
     total = logb.size
-    finite = np.isfinite(logb)
-    guarded = np.where(finite, logb, -np.inf)
-    running_max = np.maximum.accumulate(guarded)
     cutoff = math.log(thresholds.zero_rel) / math.log(b)
-    keep = finite & (guarded >= running_max + cutoff)
+    # one pass of SLICE samples at a time; the running max carries over
+    # from slice to slice, and the kept fractions fill u from the front
+    u = np.empty(total)
+    kept, peak = 0, -np.inf
+    for lo in range(0, total, SLICE):
+        part = logb[lo : lo + SLICE]
+        finite = np.isfinite(part)
+        guarded = np.where(finite, part, -np.inf)
+        running_max = np.maximum.accumulate(guarded)
+        np.maximum(running_max, peak, out=running_max)
+        peak = running_max[-1]
+        keep = finite & (guarded >= running_max + cutoff)
+        count = int(np.count_nonzero(keep))
+        if raw is None:
+            fractions_into(part[keep], u[kept : kept + count])
+        else:
+            u[kept : kept + count] = log_fractions_unsorted(raw[lo : lo + SLICE][keep], b)
+        kept += count
     common = dict(
         base=b, horizon=horizon, step=step, thresholds=thresholds, truncated_at=truncated_at,
-        excluded_sample_count=int(total - keep.sum()), sample_count=total,
+        excluded_sample_count=total - kept, sample_count=total,
     )
-    if not keep.any():
+    if not kept:
         return BenfordReport(
             verdict=VERDICT_TRIVIAL, inconclusive=False, significand_distance=None,
             digit_histogram=None, weyl=None, **common,
         )
-    u = fractions_of_logs(logb[keep]) if raw is None else log_fractions(raw[keep], b)
+    u = u[:kept]
+    u.sort()
     distance = uniform_distance(u)
     weyl = WeylReport.from_sorted(u, config.weyl_k)
     stride = max(1, u.size // 512)

@@ -9,9 +9,13 @@ and compare against a CLT-scale noise floor.
 parts u of the samples (verdicts hand over theirs, already sorted, to
 `WeylReport.from_sorted`) and splits [0, 1) into M = 4096 cells; as M
 is a power of two, each in-cell part delta = u M - floor(u M) in
-[0, 1) is exact.  One `searchsorted` finds the cell starts and one
-`np.add.reduceat` per power gives the cell sums S_j(m) = sum delta^j,
-j = 0..J; then
+[0, 1) is exact.  One `searchsorted` finds the cell starts.  The cells
+are then taken in groups of whole cells holding about SLICE samples
+each (a cell with more is a group of its own), and within a group one
+`np.add.reduceat` per power over that group's delta gives the cell
+sums S_j(m) = sum delta^j, j = 0..J.  No cell is split across groups,
+so each sum adds the same samples in the same order as one reduceat
+over all of u would; only the temporaries shrink to cache size.  Then
     W_k = sum_m e^{2 pi i k m / M} sum_j (2 pi i k / M)^j / j! S_j(m),
 one DFT of each S_j.  The Taylor remainder per sample is at most
 (2 pi K / M)^(J+1) / (J+1)!, and J is the least order that keeps it
@@ -33,7 +37,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .significand import fractions_of_logs
+from .significand import SLICE, fractions_of_logs
 
 # below this, a cosine sum is treated as an exact zero (ln 0 := 0 convention)
 _LN_ZERO_GUARD = 1e-300
@@ -80,11 +84,17 @@ class SamplingGrid:
     def count(self) -> int:
         return int(math.floor(self.T / self.step))
 
-    def times(self) -> np.ndarray:
+    def empty(self) -> np.ndarray:
+        """An uninitialised float array with one entry per grid time; a
+        grid too large for memory is a usage error."""
         try:
-            return self.step * np.arange(1, self.count + 1)
+            return np.empty(self.count)
         except MemoryError:
             raise UsageError(f"a grid of {self.count} samples does not fit in memory") from None
+
+    def times(self) -> np.ndarray:
+        times = self.empty()  # first: the usage error comes before any allocation
+        return np.multiply(self.step, np.arange(1, self.count + 1), out=times)
 
 
 @dataclass(frozen=True)
@@ -154,18 +164,25 @@ def sorted_weyl_sums(u: np.ndarray, K: int) -> np.ndarray:
     in-cell parts delta, with u = (m + delta) / M (see the module docstring)."""
     M, J = _kernel_shape(K)
     n = u.size
-    starts = np.searchsorted(u, np.arange(M) / M)
-    counts = np.diff(starts, append=n)
-    filled = np.flatnonzero(counts)  # a start of n (trailing empty cells) would break reduceat
-    delta = u * M
-    delta -= np.floor(delta)
+    bounds = np.append(np.searchsorted(u, np.arange(M) / M), n)  # cell m holds u[bounds[m]:bounds[m + 1]]
+    counts = np.diff(bounds)
     sums = np.zeros((J + 1, M))
     sums[0] = counts
-    power = delta.copy()
-    for j in range(1, J + 1):
-        sums[j, filled] = np.add.reduceat(power, starts[filled])
-        if j < J:
-            power *= delta
+    first = 0
+    while first < M:
+        # the next group of whole cells holding at most SLICE samples (one cell when it holds more)
+        last = max(first + 1, int(np.searchsorted(bounds, bounds[first] + SLICE, side="right")) - 1)
+        lo, hi = bounds[first], bounds[last]
+        filled = first + np.flatnonzero(counts[first:last])  # an empty segment would break reduceat
+        if filled.size:
+            delta = u[lo:hi] * M
+            delta -= np.floor(delta)
+            power = delta.copy()
+            for j in range(1, J + 1):
+                sums[j, filled] = np.add.reduceat(power, bounds[filled] - lo)
+                if j < J:
+                    power *= delta
+        first = last
     spectra = np.fft.rfft(sums, axis=1)[:, 1 : K + 1].conj()  # sum_m e^{+2 pi i k m / M} S_j(m)
     z = 2j * np.pi * np.arange(1, K + 1) / M
     term = np.ones(K, dtype=complex)

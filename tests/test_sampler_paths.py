@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from benflow.errors import UsageError
 from benflow.flowsignal import (
     NormOnFlow,
     Observable,
@@ -294,3 +295,19 @@ class TestSteppingTruncation:
         # rounding accumulates over 3.6e5 propagator products: 8.8e-12 here,
         # 9.9e-12 for a per-step walk
         assert np.max(np.abs(sample.values - (math.log10(5e302) + np.log10(kept)))) <= 2e-11
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ObservableOnFlow(np.array([[1.0, -2.0], [2.0, 1.0]]), Observable.entry(0, 1, 2)),
+        NormOnFlow(np.array([[1.0, -2.0], [2.0, 1.0]]), "spectral"),
+        ObservableOnFlow(np.array([[1.0, 1.0], [0.0, 1.0]]), Observable.entry(0, 1, 2)),
+    ],
+    ids=["eigen observable", "eigen norm", "stepping"],
+)
+def test_unallocatable_grid_is_a_usage_error(spec):
+    # 1e17 samples: refused before the sampler allocates anything grid-long
+    grid = SamplingGrid(T=1e15, step=1e-2)
+    with pytest.raises(UsageError, match=f"{grid.count} samples"):
+        sample_log_signal(spec, grid, 10)

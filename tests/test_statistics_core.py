@@ -1,29 +1,44 @@
 """The statistics core over the sorted fractions u of log_b|f|.
 
 The KS distance, the digit counts and the Weyl magnitudes are all read
-off one sorted array u in [0, 1).  This module checks that array two
+off one sorted array u in [0, 1).  This module checks that array three
 ways: against the earlier route that formed significands b**u, binned
-them and took their log again (copied below as the oracle), and, for
-raw values sitting exactly on a digit edge, against the exact scalar
-`first_digit`.
+them and took their log again (copied below as the oracle); for raw
+values sitting exactly on a digit edge, against the exact scalar
+`first_digit`; and, bit for bit, against the same statistics taken over
+whole arrays (also copied below), at the edges of the SLICE-sample
+passes the core makes, with allocation bounds that only a sliced core
+meets.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from benflow.config import RunConfig
 from benflow.demos import ex_3_5_log_fixtures
+from benflow.errors import UsageError
 from benflow.flowsignal import (
     Observable,
     ObservableOnFlow,
+    _verdict_from_logb,
     benford_report_from_log_samples,
     benford_report_from_samples,
     benford_verdict,
     sample_log_signal,
 )
-from benflow.significand import digit_frequencies, empirical_distance, first_digit, fractions_of_logs
-from benflow.udmod1 import SamplingGrid
+from benflow.significand import (
+    SLICE,
+    digit_counts,
+    digit_frequencies,
+    empirical_distance,
+    first_digit,
+    fractions_of_logs,
+    log_fractions,
+    uniform_distance,
+)
+from benflow.udmod1 import SamplingGrid, _kernel_shape, sorted_weyl_sums
 from test_sampler_paths import CASES, block_parts
 
 CONFIG = RunConfig()
@@ -219,3 +234,184 @@ def test_values_where_powers_overflow_follow_first_digit(b):
     if b == 16:
         assert digit_frequencies([1.5e-323], 16).counts == {12: 1}
         assert digit_frequencies([np.finfo(float).max], 16).counts == {15: 1}
+
+
+# ---------------------------------------------------------------------------
+# the sliced core against whole-array statistics, bit for bit
+
+
+def whole_array_ks(u: np.ndarray) -> float:
+    ranks = np.arange(u.size + 1) / u.size
+    return float(max((ranks[1:] - u).max(), (u - ranks[:-1]).max()))
+
+
+def whole_array_weyl(u: np.ndarray, K: int) -> np.ndarray:
+    """`sorted_weyl_sums` with one reduceat per power over all of u."""
+    M, J = _kernel_shape(K)
+    n = u.size
+    starts = np.searchsorted(u, np.arange(M) / M)
+    counts = np.diff(starts, append=n)
+    filled = np.flatnonzero(counts)
+    delta = u * M
+    delta -= np.floor(delta)
+    sums = np.zeros((J + 1, M))
+    sums[0] = counts
+    power = delta.copy()
+    for j in range(1, J + 1):
+        sums[j, filled] = np.add.reduceat(power, starts[filled])
+        if j < J:
+            power *= delta
+    spectra = np.fft.rfft(sums, axis=1)[:, 1 : K + 1].conj()
+    z = 2j * np.pi * np.arange(1, K + 1) / M
+    term = np.ones(K, dtype=complex)
+    total = spectra[0].copy()
+    for j in range(1, J + 1):
+        term *= z / j
+        total += term * spectra[j]
+    return total / n
+
+
+def whole_array_report(logb: np.ndarray, b: int, raw: np.ndarray | None = None) -> dict:
+    """Exclusion, fractions, KS, digits, Weyl and ECDF quantiles of a
+    verdict, each taken over whole arrays at once."""
+    finite = np.isfinite(logb)
+    guarded = np.where(finite, logb, -np.inf)
+    running_max = np.maximum.accumulate(guarded)
+    keep = finite & (guarded >= running_max + math.log(CONFIG.thresholds.zero_rel) / math.log(b))
+    if raw is None:
+        kept = logb[keep]
+        u = np.sort(np.minimum(kept - np.floor(kept), math.nextafter(1.0, 0.0)))
+    else:
+        u = log_fractions(raw[keep], b)
+    stride = max(1, u.size // 512)
+    quantiles = np.minimum(np.power(float(b), u[stride - 1 :: stride]), math.nextafter(float(b), 1.0))
+    weyl = whole_array_weyl(u, CONFIG.weyl_k)
+    return {
+        "excluded": int(logb.size - keep.sum()),
+        "distance": whole_array_ks(u),
+        "digits": digit_counts(u, b),
+        "weyl": {k: min(float(abs(w)), 1.0) for k, w in enumerate(weyl, start=1)},
+        "quantiles": tuple(quantiles.tolist()),
+    }
+
+
+def assert_bit_equal(report, logb: np.ndarray, raw: np.ndarray | None = None) -> None:
+    ref = whole_array_report(logb, report.base, raw)
+    assert report.excluded_sample_count == ref["excluded"]
+    assert report.significand_distance == ref["distance"]
+    assert report.digit_histogram.counts == ref["digits"]
+    assert report.weyl.magnitudes == ref["weyl"]
+    assert report.ecdf_quantiles == ref["quantiles"]
+
+
+def growing_logs(n: int, seed: int) -> np.ndarray:
+    """A growing log signal with a dip below the cutoff every ~50 samples."""
+    rng = np.random.default_rng(seed)
+    logb = 1e-3 * np.arange(n) + rng.uniform(0.0, 3.0, n)
+    logb[rng.random(n) < 0.02] -= 20.0
+    return logb
+
+
+@pytest.mark.parametrize("n", [SLICE - 1, SLICE, SLICE + 1, 3 * SLICE + 1])
+def test_slice_counts_match_whole_arrays(n):
+    logb = growing_logs(n, n)
+    report = benford_report_from_log_samples(logb, 10, config=CONFIG)
+    assert 0 < report.excluded_sample_count < n
+    assert_bit_equal(report, logb)
+
+
+def test_running_max_carries_across_slices():
+    logb = growing_logs(3 * SLICE, 1)
+    logb[SLICE - 1] = 100.0  # a slice's last sample is the peak ...
+    logb[SLICE : SLICE + 40] = 80.0  # ... that excludes the next slice's first samples
+    logb[SLICE + 40 : SLICE + 60] = 95.0  # kept again: 95 > 100 - 13
+    logb[SLICE + 60 : 2 * SLICE] = 50.0
+    report = benford_report_from_log_samples(logb, 10, config=CONFIG)
+    assert report.excluded_sample_count >= SLICE - 20
+    assert_bit_equal(report, logb)
+
+
+def test_zero_runs_across_slices_and_a_slice_excluded_whole():
+    logb = growing_logs(4 * SLICE, 2)
+    logb[SLICE - 10 : SLICE + 10] = -np.inf  # exact zeros across a slice edge
+    logb[2 * SLICE : 3 * SLICE] = -np.inf  # a slice with no kept sample
+    logb[3 * SLICE : 3 * SLICE + 5] = -np.inf
+    report = benford_report_from_log_samples(logb, 10, config=CONFIG)
+    assert report.excluded_sample_count >= SLICE + 25
+    assert_bit_equal(report, logb)
+
+
+@pytest.mark.parametrize("at", [SLICE, SLICE - 1, 2 * SLICE - 1, 2 * SLICE])
+def test_ks_maximum_at_a_slice_edge(at):
+    n = 3 * SLICE
+    u = (np.arange(n) + 0.5) / n
+    if at % SLICE == 0:
+        u[at] = u[at - 1]  # the ECDF jumps twice at u[at]: the gap above it peaks there
+    else:
+        u[at] = u[at + 1]  # the gap below u[at] peaks there
+    ranks = np.arange(n + 1) / n
+    gaps = np.maximum(ranks[1:] - u, u - ranks[:-1])
+    assert int(np.argmax(gaps)) == at
+    assert uniform_distance(u) == whole_array_ks(u)
+
+
+def test_ks_of_no_sample_is_a_usage_error():
+    with pytest.raises(UsageError, match="at least one sample"):
+        uniform_distance(np.empty(0))
+
+
+def test_weyl_cell_fuller_than_a_slice_and_empty_cells_at_group_edges():
+    rng = np.random.default_rng(3)
+    M, _ = _kernel_shape(CONFIG.weyl_k)
+    # a cell holding 3 slices of samples; filled cells 0.6 slices apart, so
+    # groups of whole cells end on runs of empty cells; empty cells at both ends
+    crowd = (2048 + rng.uniform(0.0, 1.0, 3 * SLICE)) / M
+    spread = [(m + rng.uniform(0.0, 1.0, int(0.6 * SLICE))) / M for m in range(10, M - 10, 250)]
+    u = np.sort(np.concatenate([crowd, *spread]))
+    assert np.array_equal(sorted_weyl_sums(u, CONFIG.weyl_k), whole_array_weyl(u, CONFIG.weyl_k))
+
+
+def test_near_constant_signal_matches_whole_arrays():
+    # ex-3-9's constant observable: rounding noise puts u in the first and
+    # the last cell (up to t = 370, before its samples underflow)
+    spec = ObservableOnFlow(np.array([[1.0, 1.0], [1.0, 1.0]]), Observable(np.array([[1.0, -1.0], [0.0, 0.0]])))
+    grid = SamplingGrid(T=370.0, step=0.005)
+    logb = sample_log_signal(spec, grid, 10).values
+    report = benford_verdict(spec, 10, grid, config=CONFIG)
+    assert report.excluded_sample_count == 0
+    assert max(report.digit_histogram.counts.values()) > SLICE
+    assert_bit_equal(report, logb)
+
+
+@pytest.mark.parametrize("b", [2, 10])
+def test_raw_digit_edges_match_whole_arrays(b):
+    values = np.array(edge_values(b))
+    raw = np.tile(values, -(-2 * SLICE // values.size) + 1)
+    raw[SLICE : SLICE + 7] = 0.0  # exact zeros across a slice edge
+    raw[SLICE + 7 : SLICE + 90] *= 1e-15  # excluded by the running max
+    report = benford_report_from_samples(raw, b, config=CONFIG)
+    with np.errstate(divide="ignore"):
+        logb = np.log(np.abs(raw)) / math.log(b)
+    assert report.excluded_sample_count > 7
+    assert_bit_equal(report, logb, raw)
+
+
+def test_verdict_and_sampler_allocate_no_grid_long_temporaries():
+    # 1e6 samples: only the log samples and the sorted fractions (8 MB each) are grid-long
+    s, b = block_parts(23, [("spiral", 1.0, 2.0), ("real", 0.4)])
+    c = np.random.default_rng(24).standard_normal(b.shape)
+    spec = ObservableOnFlow(s @ b @ np.linalg.inv(s), Observable(c))
+    grid = CONFIG.grid
+    tracemalloc.start()
+    try:
+        logb = sample_log_signal(spec, grid, 10).values
+        sampling_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        _verdict_from_logb(logb, 10, grid.T, grid.step, CONFIG, None)
+        verdict_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert logb.size == 1_000_000
+    assert sampling_peak <= 16 * 2**20
+    assert verdict_peak <= 12 * 2**20
