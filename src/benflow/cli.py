@@ -256,10 +256,12 @@ def _cmd_census(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+_PARSER = _build_parser()  # built once, after the commands it names; parsing leaves it unchanged
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return int(exc.code or 0)

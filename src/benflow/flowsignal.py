@@ -8,21 +8,21 @@ samples, and judge the fractional parts u of the kept logs, sorted
 once: their KS distance from uniform (the significand sup-distance),
 their digit counts and their Weyl magnitudes, which come from power
 sums of the in-cell parts of u within 4096 cells (`udmod1.sorted_weyl_sums`),
-not from one complex exponential per sample.  The log samples and u
-are the only grid-long arrays a verdict holds: the exclusion (a running
-max carried from slice to slice), the fractions, the KS distance and
-the Weyl power sums (over groups of whole cells) run over slices of
-`significand.SLICE` samples, whose temporaries stay in cache and reuse
-the same pages.  Every verdict setting (base, grid, thresholds, number
+not from one complex exponential per sample.  The log samples are the
+only grid-long array a verdict holds (u overwrites their front): the
+exclusion (a running max carried from slice to slice), the fractions,
+the KS distance and the Weyl power sums (over groups of whole cells)
+run over slices of `significand.SLICE` samples, whose temporaries stay
+in cache and reuse the same pages.  Every verdict setting (base, grid, thresholds, number
 of Weyl frequencies) comes from one RunConfig; the entry points take it
 as the keyword `config`.
 
 Sampling works with the shifted flow: with r the spectral abscissa,
 e^{tA} e^{-rt} = e^{t(A - rI)} stays bounded, so log|f| = r t +
-log|shifted signal| is computed without overflow.  The sampler writes
-|shifted signal| into its output and turns it into log_b|f| in place,
-one slice at a time, with that slice's grid times formed there
-(`_log_tail`); no whole-grid array of times is formed.
+log|shifted signal| is computed without overflow.  Every sampler is
+one loop over `SamplingGrid.passes()` (the grid times of SLICE samples
+at a time), writing |shifted signal| into its part of the output and
+turning it into log_b|f| there (`_log_tail`): no other grid-long array.
 
 For a diagonalizable generator the shifted flow is a sum of mode
 factors e^{(lambda - r)t}, one per conjugate pair or real eigenvalue,
@@ -32,7 +32,7 @@ sum of projector weight row i*d + k, and an observable c is the one
 row c.ravel() @ weights.  Grid times come in blocks t_0 + j*step, so a
 block's factors are its start row e^{(lambda - r)t_0} times one shared
 table of e^{(lambda - r) j step}: the weight rows are folded into the
-start rows, and a chunk of samples of all rows is one real GEMM against
+start rows, and one pass of samples of all rows is one real GEMM against
 the table, with no per-sample exp and no factor array.  An observable
 takes its one row of sums; a norm reads the d*d entry rows and takes
 their sum of squares (Frobenius), the entrywise max, a closed form
@@ -40,8 +40,8 @@ their sum of squares (Frobenius), the entrywise max, a closed form
 
 Defective generators (eigenvector condition number from _EIG_COND_LIMIT
 on) fall back to blocked powers of S = e^{(A - rI) step}: S^1..S^m are
-formed once, and each chunk of samples is one GEMM of its stacked
-block bases against them, truncated at the first non-finite propagator.
+formed once, and each pass is one GEMM of its stacked block bases
+against them, truncated at the first non-finite propagator.
 """
 from __future__ import annotations
 
@@ -66,7 +66,9 @@ from .significand import (
 from .udmod1 import MIN_SAMPLES, SamplingGrid, WeylReport
 
 _EIG_COND_LIMIT = 1e8
-_CHUNK = 200_000
+# Each of _TABLE and _POWERS must divide SLICE: eigen-path blocks then
+# start at 1 + _TABLE*i on the whole grid, and every pass but the last is
+# whole blocks, so the stepping path carries its block base across passes.
 _TABLE = 1024  # rows of the shared mode-factor table (eigen path block length)
 _POWERS = 256  # propagator powers S^1..S^m kept by the stepping fallback
 _TRIVIAL_REL = 1e-12  # triviality_check's cutoff, relative to the largest power norm
@@ -302,41 +304,33 @@ def _eigen_logb(modes: _FlowModes, weights: np.ndarray, grid: SamplingGrid, b: i
     Grid times come in blocks of _TABLE consecutive points t_0 + j*step,
     so each factor is e^{mu t_0} (one start row per block) times the
     shared table row e^{mu j step}.  Each row's weights are folded into
-    the start rows, and the sums of all rows over a chunk are one real
+    the start rows, and the sums of all rows over a pass are one real
     GEMM against the table.  `functional` maps the (rows, blocks,
     _TABLE) sums to (blocks, _TABLE) values; the last block runs past
-    the chunk, so its tail is cut after the functional.  Their absolute
+    the grid, so its tail is cut after the functional.  Their absolute
     values go straight into the output, where `_log_tail` turns them
     into log_b|f|; no grid-long array but the output is formed.
     """
-    n = grid.count
     # Re(x y) is the real dot product of x and conj(y) read as floats
     table = np.conj(np.exp(np.outer(grid.step * np.arange(_TABLE), modes.mu))).view(np.float64)
     out = grid.empty()
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        starts = grid.step * np.arange(lo + 1, hi + 1, _TABLE)  # the block start times t_0
-        folded = weights[:, None, :] * np.exp(np.outer(starts, modes.mu))
+    for lo, t in grid.passes():
+        folded = weights[:, None, :] * np.exp(np.outer(t[::_TABLE], modes.mu))
         sums = (folded.view(np.float64).reshape(-1, table.shape[1]) @ table.T).reshape(*folded.shape[:2], _TABLE)
-        np.abs(functional(sums).ravel()[: hi - lo], out=out[lo:hi])
-        _log_tail(out, lo, hi, grid.step, modes.r, b)
+        part = out[lo : lo + t.size]
+        np.abs(functional(sums).ravel()[: t.size], out=part)
+        _log_tail(part, t, modes.r, b)
     return _LogSample(out)
 
 
-def _log_tail(out: np.ndarray, lo: int, hi: int, step: float, r: float, b: int) -> None:
-    """Turn out[lo:hi], |shifted signal| at the grid times t_{lo+1}..t_hi,
-    into log_b|f| = log|shifted| / ln b + r t / ln b in place, SLICE
-    samples at a time.  step * (i + 1) is bit-equal to grid.times()[i]."""
+def _log_tail(part: np.ndarray, t: np.ndarray, r: float, b: int) -> None:
+    """Turn `part`, |shifted signal| at the grid times t, into
+    log_b|f| = log|shifted| / ln b + r t / ln b in place."""
     lnb = math.log(b)
-    shift = r / lnb
-    for start in range(lo, hi, SLICE):
-        part = out[start : min(start + SLICE, hi)]
-        with np.errstate(divide="ignore"):
-            np.log(part, out=part)
-        part /= lnb
-        times = step * np.arange(start + 1, start + part.size + 1)
-        times *= shift
-        part += times
+    with np.errstate(divide="ignore"):
+        np.log(part, out=part)
+    part /= lnb
+    part += t * (r / lnb)
 
 
 def _logb_flow(flow: ObservableOnFlow | NormOnFlow, grid: SamplingGrid, b: int) -> _LogSample:
@@ -408,14 +402,14 @@ def _stepping_logb(a: np.ndarray, r: float, grid: SamplingGrid, b: int, function
     """Fallback for defective generators: blocked powers of S = e^{(A - rI) step}.
 
     The shifted propagator at t_i = i*step is S^i.  S^1..S^m are formed
-    once; a chunk of samples is then the stack of block bases S^{km},
-    k = 0, 1, ... (one small product each), times [S^1 | ... | S^m], a
-    single GEMM, and `functional` maps the chunk's (d*d, n) entries to n
-    values, whose absolute values go into the output for `_log_tail` to
-    turn into log_b|f|.  The shifted propagator grows at most
-    polynomially, so overflow can only come from extreme Jordan
-    structure; the horizon is then truncated at the first non-finite
-    propagator and reported, and the output cut there.
+    once; a pass over the grid is then the stack of block bases S^{km},
+    k = 0, 1, ... (one small product each, the base carried from pass to
+    pass), times [S^1 | ... | S^m], a single GEMM, and `functional` maps
+    the pass's (d*d, n) entries to n values, whose absolute values go
+    into the output for `_log_tail` to turn into log_b|f|.  The shifted
+    propagator grows at most polynomially, so overflow can only come
+    from extreme Jordan structure; the horizon is then truncated at the
+    first non-finite propagator and reported, and the output cut there.
     """
     d = a.shape[0]
     step_mat = expm(a - r * np.eye(d), grid.step)
@@ -423,42 +417,36 @@ def _stepping_logb(a: np.ndarray, r: float, grid: SamplingGrid, b: int, function
     for _ in range(_POWERS - 1):
         powers.append(powers[-1] @ step_mat)
     side = np.concatenate(powers, axis=1)  # (d, m*d), block j is S^{j+1}
-    n = grid.count
     out = grid.empty()
     base = np.eye(d)
-    kept, truncated_at = n, None
-    span = _CHUNK // _POWERS * _POWERS
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for lo in range(0, n, span):
-            count = min(span, n - lo)
-            nblocks = -(-count // _POWERS)
+        for lo, t in grid.passes():
+            nblocks = -(-t.size // _POWERS)
             bases = np.empty((nblocks, d, d))
             for k in range(nblocks):
                 bases[k] = base
                 base = base @ powers[-1]
             prod = bases.reshape(nblocks * d, d) @ side  # [k, i] x [j, l]
-            entries = prod.reshape(nblocks, d, _POWERS, d).transpose(1, 3, 0, 2).reshape(d * d, -1)[:, :count]
+            entries = prod.reshape(nblocks, d, _POWERS, d).transpose(1, 3, 0, 2).reshape(d * d, -1)[:, : t.size]
             bad = ~np.isfinite(entries).all(axis=0)
-            if bad.any():
-                count = int(np.argmax(bad))
-                kept, truncated_at = lo + count, float(grid.step * (lo + count + 1))
-                entries = entries[:, :count]
-            if count:
-                np.abs(functional(entries), out=out[lo : lo + count])
-                _log_tail(out, lo, lo + count, grid.step, r, b)
-            if truncated_at is not None:
-                break
-    return _LogSample(out[:kept], truncated_at=truncated_at)
+            count = int(np.argmax(bad)) if bad.any() else t.size
+            part = out[lo : lo + count]
+            np.abs(functional(entries[:, :count]), out=part)
+            _log_tail(part, t[:count], r, b)
+            if count < t.size:
+                return _LogSample(out[: lo + count], truncated_at=float(t[count]))
+    return _LogSample(out)
 
 
 def _logb_synthetic(spec: Synthetic, grid: SamplingGrid, b: int) -> _LogSample:
-    times = grid.times()
-    acc = np.zeros(times.size)
-    for omega, u in spec.modes:
-        acc += u * np.cos(omega * times)
     lnb = math.log(b)
-    with np.errstate(divide="ignore"):
-        out = (spec.r * times + spec.k * np.log(times) + np.log(np.abs(acc))) / lnb
+    out = grid.empty()
+    for lo, t in grid.passes():
+        acc = np.zeros(t.size)
+        for omega, u in spec.modes:
+            acc += u * np.cos(omega * t)
+        with np.errstate(divide="ignore"):
+            out[lo : lo + t.size] = (spec.r * t + spec.k * np.log(t) + np.log(np.abs(acc))) / lnb
     return _LogSample(out)
 
 
@@ -534,13 +522,14 @@ def _verdict_from_logb(
     No kept sample is TRIVIAL; fewer than MIN_SAMPLES kept samples are
     an inconclusive FAIL, with the statistics still reported.
     When the raw values behind `logb` are given, the fractions come
-    from them, so values on a digit edge land in that digit."""
+    from them, so values on a digit edge land in that digit.
+    The sorted fractions are written over the front of `logb`."""
     thresholds = config.thresholds
     total = logb.size
     cutoff = math.log(thresholds.zero_rel) / math.log(b)
     # one pass of SLICE samples at a time; the running max carries over
-    # from slice to slice, and the kept fractions fill u from the front
-    u = np.empty(total)
+    # from slice to slice, and the kept fractions overwrite logb from the
+    # front: kept <= lo whenever slice lo is read, and part[keep] is a copy
     kept, peak = 0, -np.inf
     for lo in range(0, total, SLICE):
         part = logb[lo : lo + SLICE]
@@ -552,9 +541,9 @@ def _verdict_from_logb(
         keep = finite & (guarded >= running_max + cutoff)
         count = int(np.count_nonzero(keep))
         if raw is None:
-            fractions_into(part[keep], u[kept : kept + count])
+            fractions_into(part[keep], logb[kept : kept + count])
         else:
-            u[kept : kept + count] = log_fractions_unsorted(raw[lo : lo + SLICE][keep], b)
+            logb[kept : kept + count] = log_fractions_unsorted(raw[lo : lo + SLICE][keep], b)
         kept += count
     common = dict(
         base=b, horizon=horizon, step=step, thresholds=thresholds, truncated_at=truncated_at,
@@ -565,7 +554,7 @@ def _verdict_from_logb(
             verdict=VERDICT_TRIVIAL, inconclusive=False, significand_distance=None,
             digit_histogram=None, weyl=None, **common,
         )
-    u = u[:kept]
+    u = logb[:kept]
     u.sort()
     distance = uniform_distance(u)
     weyl = WeylReport.from_sorted(u, config.weyl_k)
@@ -638,15 +627,18 @@ def benford_report_from_log_samples(
     -inf entries mark exact zeros.  Settings come from `config`
     (default RunConfig()); b, if given, overrides its base.  horizon
     and step only label the report: they default to the sample count
-    and 1.
+    and 1, and must be finite and > 0.  The samples are copied, never
+    written.
     """
     config = config or RunConfig()
     b = validate_base(config.base if b is None else b)
-    arr = np.asarray(logb_values, dtype=float)
+    arr = np.array(logb_values, dtype=float)
     if arr.size < MIN_SAMPLES:
         raise UsageError(f"need at least {MIN_SAMPLES} samples for a verdict")
     if np.any(np.isnan(arr)) or np.any(arr == np.inf):
         raise DomainError("log samples must be finite or -inf")
-    return _verdict_from_logb(
-        arr, b, horizon if horizon is not None else float(arr.size), step or 1.0, config, None
-    )
+    horizon = float(arr.size) if horizon is None else horizon
+    step = 1.0 if step is None else step
+    if not all(math.isfinite(x) and x > 0 for x in (horizon, step)):
+        raise UsageError(f"horizon and step must be finite and > 0, got {horizon} and {step}")
+    return _verdict_from_logb(arr, b, horizon, step, config, None)

@@ -16,6 +16,7 @@ and reports are bit-reproducible.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -28,6 +29,7 @@ from .significand import validate_base
 _RNG_ALGORITHM = "philox4x64"
 _DISTRIBUTIONS = ("gaussian", "uniform")
 _INT_PATTERN = re.compile(r"^int(\d+)$")
+_INT_BOUND_MAX = 2**63 - 1  # the largest m whose -m..m numpy draws as int64
 
 
 @dataclass(frozen=True)
@@ -36,7 +38,7 @@ class EnsembleSpec:
 
     distribution is 'gaussian' (standard normal entries), 'uniform'
     (entries uniform on (-1, 1)), or 'int<m>' (integer entries uniform
-    on -m..m).
+    on -m..m, m <= 2^63 - 1).
     """
 
     d: int
@@ -54,6 +56,8 @@ class EnsembleSpec:
                 f"unknown distribution {self.distribution!r}; "
                 "use 'gaussian', 'uniform', or 'int<m>'"
             )
+        if (self.int_bound or 0) > _INT_BOUND_MAX:
+            raise UsageError(f"integer bound m of 'int<m>' must be <= 2^63 - 1, got {self.int_bound}")
 
     @property
     def int_bound(self) -> int | None:
@@ -129,8 +133,8 @@ def resonance_census(
     identical inputs give identical reports.
     """
     b = validate_base(b)
-    if tol <= 0:
-        raise UsageError("tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise UsageError(f"tolerance must be finite and positive, got {tol}")
     if height < 1:
         raise UsageError("height must be >= 1")
     axis_hits = 0

@@ -89,13 +89,16 @@ def digit_law_pmf(b: int = 10) -> np.ndarray:
 
 
 _BELOW_ONE = math.nextafter(1.0, 0.0)
-# Samples per pass of every loop over a grid-long array (sampler tail,
-# exclusion, KS, Weyl cell groups): 256 kB of float64.  Slice temporaries
-# this small are reused by malloc from pass to pass, where grid-long ones
-# had their pages faulted in afresh on every verdict.  Measured with
-# getrusage on the statistics of a 1e6-sample verdict (2-core Xeon, one
-# BLAS thread): 0 minor faults per verdict for 2^12..2^17, then 4.8k at
-# 2^18, 8.1k at 2^19 and 10.3k at 2^20; time is least at 2^14..2^15.
+# Samples per pass of every loop over a grid-long array (the samplers'
+# `SamplingGrid.passes()`, exclusion, KS, Weyl cell groups): 256 kB of
+# float64.  The sampler's block lengths `flowsignal._TABLE` and
+# `flowsignal._POWERS` divide it, so every pass but the last is whole
+# blocks.  Slice temporaries this small are reused by malloc from pass to
+# pass, where grid-long ones had their pages faulted in afresh on every
+# verdict.  Measured with getrusage on the statistics of a 1e6-sample
+# verdict (2-core Xeon, one BLAS thread): 0 minor faults per verdict for
+# 2^12..2^17, then 4.8k at 2^18, 8.1k at 2^19 and 10.3k at 2^20; time is
+# least at 2^14..2^15.
 SLICE = 1 << 15
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -92,9 +92,17 @@ class SamplingGrid:
         except MemoryError:
             raise UsageError(f"a grid of {self.count} samples does not fit in memory") from None
 
+    def passes(self) -> Iterator[tuple[int, np.ndarray]]:
+        """(lo, t) for consecutive passes over the grid: t holds the grid
+        times t_{lo+1}..t_hi of at most SLICE samples."""
+        for lo in range(0, self.count, SLICE):
+            yield lo, self.step * np.arange(lo + 1, min(lo + SLICE, self.count) + 1)
+
     def times(self) -> np.ndarray:
         times = self.empty()  # first: the usage error comes before any allocation
-        return np.multiply(self.step, np.arange(1, self.count + 1), out=times)
+        for lo, t in self.passes():
+            times[lo : lo + t.size] = t
+        return times
 
 
 @dataclass(frozen=True)

@@ -387,6 +387,16 @@ class TestCensusCommand:
         code, _, _ = run_cli(capsys, "census", "--dim", "2", "--n", "0")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--tol", "nan"], ["--tol", "inf"], ["--dist", f"int{2**63}"]],
+        ids=["tol-nan", "tol-inf", "int-bound-2^63"],
+    )
+    def test_unusable_tolerance_or_bound_exit_2(self, capsys, flags):
+        code, out, err = run_cli(capsys, "census", "--dim", "2", "--n", "3", *flags)
+        assert code == EXIT_USAGE
+        assert out == "" and err.startswith("error: ")
+
     def test_determinism_byte_identical(self, capsys, tmp_path):
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"

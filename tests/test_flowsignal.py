@@ -355,6 +355,23 @@ class TestExternalSamples:
         with pytest.raises(UsageError):
             benford_report_from_samples(np.ones(10), 10)
 
+    @pytest.mark.parametrize(
+        "labels",
+        [{"step": 0.0}, {"step": -0.5}, {"step": math.inf}, {"horizon": -1.0}, {"horizon": math.nan}, {"horizon": 0.0}],
+        ids=["step-0", "step-negative", "step-inf", "horizon-negative", "horizon-nan", "horizon-0"],
+    )
+    def test_log_sample_labels_must_be_finite_and_positive(self, labels):
+        logb = np.linspace(0.0, 50.0, 1000)
+        with pytest.raises(UsageError, match="finite and > 0"):
+            benford_report_from_log_samples(logb, 10, **labels)
+
+    def test_log_samples_given_are_not_written(self):
+        logb = np.linspace(0.0, 50.0, 1000)
+        kept = logb.copy()
+        report = benford_report_from_log_samples(logb, 10, horizon=20.0, step=0.02)
+        assert (report.horizon, report.step) == (20.0, 0.02)
+        assert np.array_equal(logb, kept)
+
 
 class TestRunConfig:
     """Every verdict setting comes from one RunConfig."""

@@ -45,6 +45,13 @@ class TestEnsemble:
         with pytest.raises(UsageError):
             sample_generator(spec, 3)
 
+    def test_integer_bound_fits_int64(self):
+        # -m..m is drawn as int64, so 2^63 - 1 is the largest bound
+        largest = EnsembleSpec(d=2, distribution=f"int{2**63 - 1}", N=1, seed=0)
+        assert sample_generator(largest, 0).shape == (2, 2)
+        with pytest.raises(UsageError, match="2\\^63 - 1"):
+            EnsembleSpec(d=2, distribution=f"int{2**63}", N=1, seed=0)
+
 
 class TestDiscriminantProxy:
     def test_nilpotent_double_eigenvalue(self):
@@ -171,9 +178,13 @@ class TestCensus:
     def test_bad_parameters(self):
         spec = EnsembleSpec(d=2, distribution="gaussian", N=5, seed=0)
         with pytest.raises(UsageError):
-            resonance_census(spec, 10, -1.0, 8)
-        with pytest.raises(UsageError):
             resonance_census(spec, 10, 1e-8, 0)
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        spec = EnsembleSpec(d=2, distribution="gaussian", N=5, seed=0)
+        with pytest.raises(UsageError, match="finite and positive"):
+            resonance_census(spec, 10, tol, 8)
 
 
 class TestPerturbedDiagonalWitness:

@@ -4,7 +4,7 @@ Each path of `sample_log_signal` (eigen-path observables, the spectral
 norm closed forms for d = 2 and 3, SVD for d >= 4, Frobenius and max
 norms, and the stepping fallback for defective generators) is compared
 with e^{tA} evaluated in 60-digit arithmetic by mpmath on a short grid,
-and the eigen path also across its table block and chunk edges.  The
+and the eigen path also across its table block and pass edges.  The
 3x3 spectral closed form is compared with numpy's SVD on batches chosen
 to hit its degenerate cases, the norm kernels on a strided batch with
 their 2-D call, and the stepping fallback's truncation with a per-step
@@ -26,6 +26,7 @@ from benflow.flowsignal import (
     _spectral_norm_3x3,
     sample_log_signal,
 )
+from benflow.significand import SLICE
 from benflow.udmod1 import SamplingGrid
 
 DIGITS = 60
@@ -141,10 +142,11 @@ def test_path_matches_60_digit_reference(label, spec, grid, bound):
         assert np.max(np.abs(np.expm1((sample.values - ref) * LN10))) <= bound
 
 
-# 200,500 samples: a full first chunk of 200,000 and a partial second one
+# 200,500 samples: six whole passes of SLICE samples and a partial seventh
 BOUNDARY_GRID = SamplingGrid(T=20.05, step=1e-4)
-# either side of the first table block edge (1024), of the chunk edge, and the last sample
-BOUNDARY_INDICES = [1022, 1023, 1024, 1025, 199_999, 200_000, 200_001, 200_499]
+# either side of the first table block edge (1024) and of the first pass edge
+# (SLICE), three samples around 200,000, and the last sample
+BOUNDARY_INDICES = [1022, 1023, 1024, 1025, SLICE - 1, SLICE, SLICE + 1, 199_999, 200_000, 200_001, 200_499]
 BOUNDARY_CASES = [
     ("real mode", ObservableOnFlow(np.array([[0.7]]), Observable(np.array([[1.5]])))),
     # a lone real mode has mu = lambda - r = 0, so only here do real factors vary
@@ -165,7 +167,7 @@ BOUNDARY_CASES = [
 
 @pytest.mark.parametrize("label, spec", BOUNDARY_CASES, ids=[c[0] for c in BOUNDARY_CASES])
 def test_eigen_path_across_block_and_chunk_edges(label, spec):
-    """Samples either side of the table block and chunk edges, against
+    """Samples either side of the table block and pass edges, against
     e^{At} in 60 digits at those times alone."""
     assert BOUNDARY_GRID.count == 200_500
     sample = sample_log_signal(spec, BOUNDARY_GRID, 10)
@@ -285,7 +287,7 @@ class TestSteppingTruncation:
         assert 1e304 * kept[-1] <= np.finfo(float).max < 1e304 * sample.truncated_at
 
     def test_truncation_in_a_later_chunk(self):
-        # overflow after ~3.6e5 samples, past the first chunk of stacked bases
+        # overflow after ~3.6e5 samples, 11 passes in: the block base carries across pass edges
         a = np.array([[0.0, 5e302], [0.0, 0.0]])
         grid = SamplingGrid(T=4e5, step=1.0)
         sample = sample_log_signal(ObservableOnFlow(a, Observable.entry(0, 1, 2)), grid, 10)

@@ -20,8 +20,10 @@ from benflow.config import RunConfig
 from benflow.demos import ex_3_5_log_fixtures
 from benflow.errors import UsageError
 from benflow.flowsignal import (
+    NormOnFlow,
     Observable,
     ObservableOnFlow,
+    Synthetic,
     _verdict_from_logb,
     benford_report_from_log_samples,
     benford_report_from_samples,
@@ -39,7 +41,7 @@ from benflow.significand import (
     uniform_distance,
 )
 from benflow.udmod1 import SamplingGrid, _kernel_shape, sorted_weyl_sums
-from test_sampler_paths import CASES, block_parts
+from test_sampler_paths import CASES, SPIRAL3, SPIRAL4, block_generator, block_parts
 
 CONFIG = RunConfig()
 EDGE_BAND = 1e-12
@@ -397,21 +399,30 @@ def test_raw_digit_edges_match_whole_arrays(b):
 
 
 def test_verdict_and_sampler_allocate_no_grid_long_temporaries():
-    # 1e6 samples: only the log samples and the sorted fractions (8 MB each) are grid-long
+    # Every sampler makes one pass of SLICE samples at a time, so beyond its
+    # output it holds only pass-sized temporaries (a 3x3 or 4x4 norm reads
+    # 9 or 16 rows of sums per pass); the verdict writes its fractions over
+    # the log samples, so it allocates no grid-long array at all.
     s, b = block_parts(23, [("spiral", 1.0, 2.0), ("real", 0.4)])
     c = np.random.default_rng(24).standard_normal(b.shape)
-    spec = ObservableOnFlow(s @ b @ np.linalg.inv(s), Observable(c))
-    grid = CONFIG.grid
-    tracemalloc.start()
-    try:
-        logb = sample_log_signal(spec, grid, 10).values
-        sampling_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        _verdict_from_logb(logb, 10, grid.T, grid.step, CONFIG, None)
-        verdict_peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert logb.size == 1_000_000
-    assert sampling_peak <= 16 * 2**20
-    assert verdict_peak <= 12 * 2**20
+    norm_grid = SamplingGrid(T=2e3, step=1e-2)  # 2e5 samples
+    cases = {
+        "eigen observable 1e6": (ObservableOnFlow(s @ b @ np.linalg.inv(s), Observable(c)), CONFIG.grid),
+        "3x3 spectral 2e5": (NormOnFlow(block_generator(4, SPIRAL3), "spectral"), norm_grid),
+        "4x4 frobenius 2e5": (NormOnFlow(block_generator(7, SPIRAL4), "frobenius"), norm_grid),
+        "synthetic 1e6": (Synthetic(0.5, 1, ((1.0, 1.0), (2.3, 0.5))), CONFIG.grid),
+    }
+    for label, (spec, grid) in cases.items():
+        tracemalloc.start()
+        try:
+            logb = sample_log_signal(spec, grid, 10).values
+            sampling_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            _verdict_from_logb(logb, 10, grid.T, grid.step, CONFIG, None)
+            verdict_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert logb.size == grid.count, label
+        assert sampling_peak - logb.nbytes <= 12 * 2**20, label
+        assert verdict_peak <= 4 * 2**20, label
