@@ -19,10 +19,12 @@ as the keyword `config`.
 
 Sampling works with the shifted flow: with r the spectral abscissa,
 e^{tA} e^{-rt} = e^{t(A - rI)} stays bounded, so log|f| = r t +
-log|shifted signal| is computed without overflow.  Every sampler is
-one loop over `SamplingGrid.passes()` (the grid times of SLICE samples
-at a time), writing |shifted signal| into its part of the output and
-turning it into log_b|f| there (`_log_tail`): no other grid-long array.
+log|shifted signal| is computed without overflow.  Every sampler, the
+synthetic one included, is one loop over `SamplingGrid.passes()` (the
+grid times of SLICE samples at a time), writing |shifted signal| into
+its part of the output and turning it into log_b|f| there
+(`_log_tail`): no other grid-long array.  A synthetic's shifted signal
+is its mode sum, and k log_b t is added after `_log_tail`.
 
 For a diagonalizable generator the shifted flow is a sum of mode
 factors e^{(lambda - r)t}, one per conjugate pair or real eigenvalue,
@@ -155,19 +157,12 @@ SignalSpec = ObservableOnFlow | NormOnFlow | Synthetic
 # direct evaluation
 
 
-def _matrix_norm(m: np.ndarray, kind: str) -> float:
-    if kind == "spectral":
-        return float(np.linalg.norm(m, 2))
-    if kind == "frobenius":
-        return float(np.linalg.norm(m, "fro"))
-    return float(np.max(np.abs(m)))
-
-
 def eval_signal(spec: SignalSpec, t: float) -> float:
     """Evaluate the signal at one time point (direct, overflow-checked).
 
     A value outside the floating-point range raises SignalOverflowError
-    naming t, for every kind of signal.
+    naming t, for every kind of signal.  A norm is taken by the kernels
+    verdicts sample with (`_batched_norm`).
     """
     if not math.isfinite(t):
         raise DomainError(f"time must be finite, got {t}")
@@ -182,7 +177,7 @@ def eval_signal(spec: SignalSpec, t: float) -> float:
         return value
     if isinstance(spec, ObservableOnFlow):
         return spec.observable(expm(spec.generator, t))
-    return _matrix_norm(expm(spec.generator, t), spec.norm)
+    return float(_batched_norm(expm(spec.generator, t).reshape(-1, 1), spec.norm)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -439,14 +434,12 @@ def _stepping_logb(a: np.ndarray, r: float, grid: SamplingGrid, b: int, function
 
 
 def _logb_synthetic(spec: Synthetic, grid: SamplingGrid, b: int) -> _LogSample:
-    lnb = math.log(b)
     out = grid.empty()
     for lo, t in grid.passes():
-        acc = np.zeros(t.size)
-        for omega, u in spec.modes:
-            acc += u * np.cos(omega * t)
-        with np.errstate(divide="ignore"):
-            out[lo : lo + t.size] = (spec.r * t + spec.k * np.log(t) + np.log(np.abs(acc))) / lnb
+        part = out[lo : lo + t.size]
+        np.abs(sum(u * np.cos(omega * t) for omega, u in spec.modes), out=part)
+        _log_tail(part, t, spec.r, b)
+        part += np.log(t) * (spec.k / math.log(b))
     return _LogSample(out)
 
 

@@ -214,12 +214,12 @@ def spectrum(a: np.ndarray, tol: float = _DEFAULT_TOL.eigen_cluster) -> Spectrum
 
 
 def is_hyperbolic(a: np.ndarray, tol: float = _DEFAULT_TOL.hyperbolicity) -> bool:
-    """True when no eigenvalue is within tol of the imaginary axis."""
-    a = as_square_matrix(a)
+    """True when no point of `spectrum(a)`, clustered at the default
+    `eigen_cluster` gap, is within tol of the imaginary axis: a double 0
+    that eig splits off the axis counts as on it."""
     if tol <= 0:
         raise UsageError("tolerance must be positive")
-    eigs = np.linalg.eigvals(a)
-    return bool(np.min(np.abs(eigs.real)) > tol)
+    return all(abs(p.z.real) > tol for p in spectrum(a).points)
 
 
 def planar_criterion(a: np.ndarray) -> bool:

@@ -11,6 +11,7 @@ from benflow.cli import EXIT_EXPECTATION, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, mai
 from benflow.dataio import load_matrix, parse_exact_spectrum, parse_monomial_label
 from benflow.errors import UsageError
 from benflow.exactreal import Monomial
+from benflow.genericity import EnsembleSpec, sample_generator
 from helpers import fixture_text
 
 
@@ -36,6 +37,17 @@ class TestAnalyzeMatrix:
         assert report["dominant"] == [{"re": 2.0, "im": 0.0}]
         assert report["hyperbolic"] is False
         assert report["algebraic_shortcut_nonresonant"] is False
+
+    @pytest.mark.parametrize("index", (415, 497, 1149, 1988))
+    def test_singular_integer_matrix_on_axis(self, capsys, tmp_path, index):
+        matrix = sample_generator(EnsembleSpec(d=3, distribution="int3", N=2000, seed=7), index)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(matrix.tolist()))
+        code, out, _ = run_cli(capsys, "analyze-matrix", str(path))
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["hyperbolic"] is False
+        assert report["hyperbolic"] == report["algebraic_shortcut_nonresonant"]
 
     def test_csv_matrix(self, capsys, tmp_path):
         path = tmp_path / "m.csv"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from benflow.config import RunConfig, VerdictThresholds
 from benflow.dataio import load_signal_csv
@@ -85,6 +86,16 @@ class TestEvalSignal:
         with pytest.raises(SignalOverflowError) as info:
             eval_signal(spec, 1000.0)
         assert info.value.t == 1000.0
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_norms_match_lapack(self, d):
+        # eval_signal takes its norms with the sampler's kernels
+        a = np.random.default_rng(d).standard_normal((d, d))
+        for t in (0.0, 0.37, 2.5, 11.0):
+            m = scipy.linalg.expm(t * a)
+            for kind, ref in (("spectral", 2), ("frobenius", "fro"), ("max", None)):
+                exact = np.max(np.abs(m)) if ref is None else np.linalg.norm(m, ref)
+                assert abs(eval_signal(NormOnFlow(a, kind), t) - exact) <= 8 * np.spacing(exact)
 
     def test_norm_kinds_ordering(self):
         a = np.array([[1.0, 3.0], [0.0, -1.0]])
@@ -185,6 +196,21 @@ class TestBuildObservable:
 
 
 class TestVerdicts:
+    @pytest.mark.parametrize("step", [0.25, 0.2, 0.01])
+    def test_ten_to_the_t_synthetic_equals_flow(self, step):
+        # 10^t two ways: both go through one log tail, so the log samples
+        # are t exactly and the fractions fill the lattice of the step
+        config = RunConfig(step=step)
+        synthetic = Synthetic(r=LN10, k=0, modes=((0.0, 1.0),))
+        flow = ObservableOnFlow(np.array([[LN10]]), Observable(np.array([[1.0]])))
+        logs = [sample_log_signal(spec, config.grid, 10).values for spec in (synthetic, flow)]
+        assert logs[0].tobytes() == logs[1].tobytes()
+        report, flow_report = (benford_verdict(spec, config=config) for spec in (synthetic, flow))
+        assert report.to_dict() == flow_report.to_dict()
+        assert abs(report.significand_distance - step) <= 1e-15
+        if step == 0.25:
+            assert report.digit_histogram.counts == {1: 20000, 3: 10000, 5: 10000}
+
     def test_pure_exponential_passes(self):
         report = benford_verdict(Synthetic(r=1.0, k=0, modes=((0.0, 1.0),)), 10, GRID)
         assert report.verdict == VERDICT_PASS

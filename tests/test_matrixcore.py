@@ -6,6 +6,7 @@ import pytest
 
 from benflow.errors import DomainError, SignalOverflowError, UnsupportedStructureError, UsageError
 from benflow.flowsignal import build_observable_for_modes
+from benflow.genericity import EnsembleSpec, sample_generator
 from benflow.matrixcore import (
     as_square_matrix,
     companion_from_second_order,
@@ -17,6 +18,9 @@ from benflow.matrixcore import (
 )
 
 RANK_ONE = np.array([[1.0, 1.0], [1.0, 1.0]])
+# the singular matrices of this ensemble whose double eigenvalue 0 eig splits
+INT3 = EnsembleSpec(d=3, distribution="int3", N=2000, seed=7)
+SINGULAR_INT3 = (415, 497, 1149, 1988)
 
 
 def multiset_distance(xs, ys):
@@ -207,6 +211,15 @@ class TestHyperbolicity:
     def test_tolerance_must_be_positive(self):
         with pytest.raises(UsageError):
             is_hyperbolic(RANK_ONE, 0.0)
+
+    @pytest.mark.parametrize("index", SINGULAR_INT3)
+    def test_singular_integer_matrix_not_hyperbolic(self, index):
+        # det = 0: LAPACK's eig splits the double eigenvalue 0 into two real
+        # values about 1.4e-8 to 3.0e-8 off the axis, beyond tol 1e-9; the
+        # clustered spectrum puts it back at 0
+        a = sample_generator(INT3, index)
+        assert round(np.linalg.det(a)) == 0
+        assert not is_hyperbolic(a)
 
 
 class TestPlanarCriterion:

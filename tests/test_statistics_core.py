@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from benflow.config import RunConfig
-from benflow.demos import ex_3_5_log_fixtures
+from benflow.demos import ex_3_5_log_fixtures, frobenius_example_generator
 from benflow.errors import UsageError
 from benflow.flowsignal import (
     NormOnFlow,
@@ -145,8 +145,10 @@ def test_eigen_path_statistics_match_closed_form(blocks, verdict):
 
 @pytest.mark.parametrize("b", [10, 3])
 def test_ex_3_5_log_fixtures_match_significand_route(b):
+    # ex-3-5's two signals: the sampled Frobenius norm and the closed-form cubic composite
     grid = SamplingGrid(T=1e4, step=1e-2)
-    for logb in ex_3_5_log_fixtures(grid.times(), b):
+    norm_logb = sample_log_signal(NormOnFlow(frobenius_example_generator(), "frobenius"), grid, b).values
+    for logb in (norm_logb, ex_3_5_log_fixtures(grid.times(), b)):
         report = benford_report_from_log_samples(logb, b, config=CONFIG, horizon=grid.T, step=grid.step)
         assert_matches_route(report, logb)
 
