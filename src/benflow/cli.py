@@ -137,9 +137,9 @@ def _cmd_analyze(args, cfg: RunConfig) -> int:
         "r": info.r,
         "kmax": info.kmax,
         "dominant": [_complex_dict(p.z) for p in info.dominant],
-        "hyperbolic": is_hyperbolic(matrix, cfg.tolerances.hyperbolicity),
+        "hyperbolic": is_hyperbolic(info, cfg.tolerances.hyperbolicity),
         "algebraic_shortcut_nonresonant": is_exp_nonresonant_algebraic(
-            info.eigenvalues, cfg.tolerances.hyperbolicity
+            [p.z for p in info.points], cfg.tolerances.hyperbolicity
         ),
         "notes": list(info.notes),
     }

@@ -248,7 +248,7 @@ def _run_ex_3_8(config: RunConfig) -> DemoResult:
             gen = companion_from_second_order(a, b_)
             crit = planar_criterion(gen)
             inequality = (1.0 + a * a) * abs(b_) > b_
-            if crit != inequality or crit != is_hyperbolic(gen, 1e-12):
+            if crit != inequality or crit != is_hyperbolic(spectrum(gen), 1e-12):
                 mismatches.append({"alpha": a, "beta": b_, "criterion": crit})
     oscillator = planar_criterion(companion_from_second_order(0.0, 1.0))
     ok = not mismatches and oscillator is False

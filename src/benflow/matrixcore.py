@@ -19,7 +19,7 @@ from .config import Tolerances
 from .errors import DomainError, NumericalError, SignalOverflowError, UsageError
 
 _DEFAULT_TOL = Tolerances()
-_RANK_TOL = 1e-10  # relative singular-value cutoff of jordan_index's rank drops
+_RANK_TOL = 1e-10  # relative singular-value cutoff of the rank drops behind Jordan indices
 
 
 def as_square_matrix(obj) -> np.ndarray:
@@ -76,14 +76,6 @@ class SpectrumInfo:
     dominant: tuple[SpectrumPoint, ...]
     notes: tuple[str, ...] = field(default=())
 
-    @property
-    def eigenvalues(self) -> list[complex]:
-        """Eigenvalues repeated according to multiplicity."""
-        out: list[complex] = []
-        for p in self.points:
-            out.extend([p.z] * p.m)
-        return out
-
 
 def _cluster_eigenvalues(eigs: np.ndarray, thr: float) -> list[tuple[complex, int]]:
     """Greedy single-linkage clustering of computed eigenvalues.
@@ -135,26 +127,18 @@ def _rank(mat: np.ndarray, noise_floor: float) -> int:
     return int(np.count_nonzero(sv > cut))
 
 
-def jordan_index(a: np.ndarray, z: complex, *, branch_tol: float | None = None) -> int:
+def _rank_drop_index(a: np.ndarray, z: complex, scale: float) -> int:
     """Largest k with rank(B^{k+1}) < rank(B^k), i.e. largest block size - 1.
 
-    B is A - zI for real z and the real quadratic factor
-    A^2 - 2 Re(z) A + |z|^2 I for a conjugate pair.  z must be within
-    tolerance of an actual eigenvalue.  Ranks come from singular values
-    thresholded at _RANK_TOL times the largest one, with an absolute
-    noise floor scaled to the input.
+    B is A - zI for real z (spectrum makes near-real means exactly real)
+    and the real quadratic factor A^2 - 2 Re(z) A + |z|^2 I otherwise; 0
+    when B keeps full rank.  Ranks come from singular values thresholded
+    at _RANK_TOL times the largest one, with an absolute noise floor
+    scaled to the input.
     """
-    a = as_square_matrix(a)
     d = a.shape[0]
-    z = complex(z)
-    scale = max(float(np.linalg.norm(a)), 1e-300)
-    if branch_tol is None:
-        branch_tol = _DEFAULT_TOL.eigen_cluster * scale
-    eigs = np.linalg.eigvals(a)
-    if np.min(np.abs(eigs - z)) > max(100 * branch_tol, 1e-8 * scale):
-        raise DomainError(f"{z} is not an eigenvalue of the matrix")
     eye = np.eye(d)
-    if abs(z.imag) <= branch_tol:
+    if z.imag == 0.0:
         base = a - z.real * eye
         input_scale = scale + abs(z)
     else:
@@ -170,21 +154,18 @@ def jordan_index(a: np.ndarray, z: complex, *, branch_tol: float | None = None) 
         ranks.append(_rank(power, eta * base_norm ** (k - 1)))
         if ranks[-1] == ranks[-2]:
             break
-    k = len(ranks) - 3
-    if k < 0:
-        raise DomainError(f"{z} is not an eigenvalue of the matrix (no rank drop)")
-    return k
+    return max(len(ranks) - 3, 0)
 
 
 def spectrum(a: np.ndarray, tol: float = _DEFAULT_TOL.eigen_cluster) -> SpectrumInfo:
     """Distinct eigenvalues with multiplicities, Jordan indices, dominant set.
 
-    Computed eigenvalues are clustered at relative gap tol * ||A||; the
-    spectrum of a real matrix comes out exactly closed under conjugation
-    (see _cluster_eigenvalues).  A point of multiplicity m > 1 whose
-    B = A - zI (or quadratic factor) keeps full rank at jordan_index's
-    cutoff, such as the pair 1 +- 1e-10 i of a near-identity rotation,
-    gets k = 0: no rank drop means no Jordan block is visible at z.
+    Eigenvalues from the spectral layer's one `eigvals` call are clustered
+    at relative gap tol * ||A||, exactly closed under conjugation (see
+    _cluster_eigenvalues).  A point of multiplicity m > 1 whose
+    B = A - zI (or quadratic factor) keeps full rank at the rank cutoff,
+    such as the pair 1 +- 1e-10 i of a near-identity rotation, gets
+    k = 0: no rank drop means no Jordan block is visible at z.
     """
     a = as_square_matrix(a)
     if tol <= 0:
@@ -199,10 +180,7 @@ def spectrum(a: np.ndarray, tol: float = _DEFAULT_TOL.eigen_cluster) -> Spectrum
     notes: list[str] = []
     points = []
     for z, m in clusters:
-        try:
-            k = jordan_index(a, z, branch_tol=thr) if m > 1 else 0
-        except DomainError:  # no rank drop at z: the cluster is semisimple
-            k = 0
+        k = _rank_drop_index(a, z, scale) if m > 1 else 0
         if m > 1 and z.imag == 0.0 and any(abs(w - z) <= 2 * thr and w.imag != 0 for w, _ in clusters):
             notes.append(f"eigenvalue {z}: real rank branch chosen with |Im| <= {thr:g}")
         points.append(SpectrumPoint(z=z, m=m, k=min(k, m - 1)))
@@ -213,13 +191,23 @@ def spectrum(a: np.ndarray, tol: float = _DEFAULT_TOL.eigen_cluster) -> Spectrum
     return SpectrumInfo(points=tuple(points), r=r, kmax=kmax, dominant=dominant, notes=tuple(notes))
 
 
-def is_hyperbolic(a: np.ndarray, tol: float = _DEFAULT_TOL.hyperbolicity) -> bool:
-    """True when no point of `spectrum(a)`, clustered at the default
-    `eigen_cluster` gap, is within tol of the imaginary axis: a double 0
-    that eig splits off the axis counts as on it."""
+def jordan_index(a: np.ndarray, z: complex) -> int:
+    """The k (largest block size - 1) that `spectrum(a)`, at the default
+    `eigen_cluster` gap, reports for its point nearest z.  Raises
+    DomainError when that point is more than 1e-6 * ||A||_F from z."""
+    nearest = min(spectrum(a).points, key=lambda p: abs(p.z - z))
+    if abs(nearest.z - z) > 1e-6 * np.linalg.norm(a):
+        raise DomainError(f"{z} is not an eigenvalue of the matrix")
+    return nearest.k
+
+
+def is_hyperbolic(info: SpectrumInfo, tol: float = _DEFAULT_TOL.hyperbolicity) -> bool:
+    """True when no point of `info` (a `spectrum` result, clustered at
+    the caller's gap) is within tol of the imaginary axis: a double 0
+    that eig splits but the clustering merges counts as on the axis."""
     if tol <= 0:
         raise UsageError("tolerance must be positive")
-    return all(abs(p.z.real) > tol for p in spectrum(a).points)
+    return all(abs(p.z.real) > tol for p in info.points)
 
 
 def planar_criterion(a: np.ndarray) -> bool:

@@ -1,5 +1,6 @@
-"""Helpers only the tests use: the packaged-fixture reader and the
-float close-pair proxy for a vanishing discriminant."""
+"""Helpers only the tests use: the packaged-fixture reader, the
+float close-pair proxy for a vanishing discriminant, and a 6x6 test
+generator with a double real eigenvalue."""
 from importlib import resources
 
 import numpy as np
@@ -24,3 +25,9 @@ def discriminant_proxy(a: np.ndarray, tol: float = 1e-8) -> bool:
     if tol <= 0:
         raise UsageError("tolerance must be positive")
     return _has_close_pair(np.linalg.eigvals(as_square_matrix(a)), tol)
+
+
+def double_real_eigenvalue_6x6() -> np.ndarray:
+    """diag(2, 2, -1, 3, 0.5, -4) under a fixed random similarity."""
+    s = np.random.default_rng(5).standard_normal((6, 6)) + 3 * np.eye(6)
+    return s @ np.diag([2.0, 2.0, -1.0, 3.0, 0.5, -4.0]) @ np.linalg.inv(s)

@@ -12,7 +12,7 @@ from benflow.dataio import load_matrix, parse_exact_spectrum, parse_monomial_lab
 from benflow.errors import UsageError
 from benflow.exactreal import Monomial
 from benflow.genericity import EnsembleSpec, sample_generator
-from helpers import fixture_text
+from helpers import double_real_eigenvalue_6x6, fixture_text
 
 
 @pytest.fixture
@@ -48,6 +48,32 @@ class TestAnalyzeMatrix:
         report = json.loads(out)
         assert report["hyperbolic"] is False
         assert report["hyperbolic"] == report["algebraic_shortcut_nonresonant"]
+
+    @pytest.mark.parametrize("index", (415, 497, 1149, 1988))
+    def test_fine_clustering_hyperbolic_reads_listed_points(self, capsys, tmp_path, index):
+        # at eigen_cluster 1e-12 the split double 0 is two simple points about
+        # 1e-8 off the axis; hyperbolicity reads those same listed points
+        matrix = sample_generator(EnsembleSpec(d=3, distribution="int3", N=2000, seed=7), index)
+        path, config = tmp_path / "m.json", tmp_path / "cfg.json"
+        path.write_text(json.dumps(matrix.tolist()))
+        config.write_text(json.dumps({"tolerances": {"eigen_cluster": 1e-12}}))
+        code, out, _ = run_cli(capsys, "--config", str(config), "analyze-matrix", str(path))
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert [e["multiplicity"] for e in report["eigenvalues"]] == [1, 1, 1]
+        assert report["hyperbolic"] is True
+        assert report["hyperbolic"] == report["algebraic_shortcut_nonresonant"]
+
+    def test_one_eigensolve(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(double_real_eigenvalue_6x6().tolist()))
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(1) or eigvals(a))
+        code, out, _ = run_cli(capsys, "analyze-matrix", str(path))
+        assert code == EXIT_OK
+        assert [e["multiplicity"] for e in json.loads(out)["eigenvalues"]].count(2) == 1
+        assert len(calls) == 1
 
     def test_csv_matrix(self, capsys, tmp_path):
         path = tmp_path / "m.csv"

@@ -16,6 +16,7 @@ from benflow.matrixcore import (
     planar_criterion,
     spectrum,
 )
+from helpers import double_real_eigenvalue_6x6
 
 RANK_ONE = np.array([[1.0, 1.0], [1.0, 1.0]])
 # the singular matrices of this ensemble whose double eigenvalue 0 eig splits
@@ -168,6 +169,14 @@ class TestSpectrum:
         assert info.kmax == 1
         assert info.points[0].m == 3
 
+    def test_one_eigensolve(self, monkeypatch):
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(1) or eigvals(a))
+        info = spectrum(double_real_eigenvalue_6x6())
+        assert [(round(p.z.real, 6), p.m, p.k) for p in info.points if p.m > 1] == [(2.0, 2, 0)]
+        assert len(calls) == 1
+
 
 class TestJordanIndex:
     def test_nilpotent_block(self):
@@ -197,20 +206,28 @@ class TestJordanIndex:
         a = np.diag([1.0, 1.0, 1.0], k=1)
         assert jordan_index(a, 0.0) == 3
 
+    def test_near_identity_rotation_reads_spectrum(self):
+        # 1 +- 1e-10 i is one point, m = 2, with no rank drop at 1: k = 0
+        angle = 1e-10
+        a = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+        (point,) = spectrum(a).points
+        assert (point.z, point.m, point.k) == (1.0, 2, 0)
+        assert jordan_index(a, 1.0) == 0 == point.k
+
 
 class TestHyperbolicity:
     def test_center_not_hyperbolic(self):
-        assert not is_hyperbolic(np.array([[0.0, -1.0], [1.0, 0.0]]))
+        assert not is_hyperbolic(spectrum(np.array([[0.0, -1.0], [1.0, 0.0]])))
 
     def test_rank_one_not_hyperbolic(self):
-        assert not is_hyperbolic(RANK_ONE)
+        assert not is_hyperbolic(spectrum(RANK_ONE))
 
     def test_spiral_hyperbolic(self):
-        assert is_hyperbolic(np.array([[1.0, -math.pi], [math.pi, 1.0]]))
+        assert is_hyperbolic(spectrum(np.array([[1.0, -math.pi], [math.pi, 1.0]])))
 
     def test_tolerance_must_be_positive(self):
         with pytest.raises(UsageError):
-            is_hyperbolic(RANK_ONE, 0.0)
+            is_hyperbolic(spectrum(RANK_ONE), 0.0)
 
     @pytest.mark.parametrize("index", SINGULAR_INT3)
     def test_singular_integer_matrix_not_hyperbolic(self, index):
@@ -219,7 +236,7 @@ class TestHyperbolicity:
         # clustered spectrum puts it back at 0
         a = sample_generator(INT3, index)
         assert round(np.linalg.det(a)) == 0
-        assert not is_hyperbolic(a)
+        assert not is_hyperbolic(spectrum(a))
 
 
 class TestPlanarCriterion:
