@@ -17,6 +17,7 @@ import scipy.linalg
 
 from .config import Tolerances
 from .errors import DomainError, NumericalError, SignalOverflowError, UsageError
+from .resonance import is_exp_nonresonant_algebraic
 
 _DEFAULT_TOL = Tolerances()
 _RANK_TOL = 1e-10  # relative singular-value cutoff of the rank drops behind Jordan indices
@@ -130,7 +131,7 @@ def _rank(mat: np.ndarray, noise_floor: float) -> int:
 def _rank_drop_index(a: np.ndarray, z: complex, scale: float) -> int:
     """Largest k with rank(B^{k+1}) < rank(B^k), i.e. largest block size - 1.
 
-    B is A - zI for real z (spectrum makes near-real means exactly real)
+    B is A - zI for real z (callers make near-real z exactly real)
     and the real quadratic factor A^2 - 2 Re(z) A + |z|^2 I otherwise; 0
     when B keeps full rank.  Ranks come from singular values thresholded
     at _RANK_TOL times the largest one, with an absolute noise floor
@@ -192,22 +193,23 @@ def spectrum(a: np.ndarray, tol: float = _DEFAULT_TOL.eigen_cluster) -> Spectrum
 
 
 def jordan_index(a: np.ndarray, z: complex) -> int:
-    """The k (largest block size - 1) that `spectrum(a)`, at the default
-    `eigen_cluster` gap, reports for its point nearest z.  Raises
-    DomainError when that point is more than 1e-6 * ||A||_F from z."""
-    nearest = min(spectrum(a).points, key=lambda p: abs(p.z - z))
-    if abs(nearest.z - z) > 1e-6 * np.linalg.norm(a):
+    """Largest block size - 1 at z itself, from the rank drops of A - zI (z within
+    the default `eigen_cluster` gap of the real axis) or of its quadratic factor.
+    Raises DomainError when no `spectrum(a)` point is within 1e-6 * ||A||_F of z."""
+    a = as_square_matrix(a)
+    z = complex(z)
+    scale = max(float(np.linalg.norm(a)), 1e-300)
+    if min(abs(p.z - z) for p in spectrum(a).points) > 1e-6 * scale:
         raise DomainError(f"{z} is not an eigenvalue of the matrix")
-    return nearest.k
+    z = complex(z.real, 0.0) if abs(z.imag) <= _DEFAULT_TOL.eigen_cluster * scale else z
+    return _rank_drop_index(a, z, scale)
 
 
 def is_hyperbolic(info: SpectrumInfo, tol: float = _DEFAULT_TOL.hyperbolicity) -> bool:
-    """True when no point of `info` (a `spectrum` result, clustered at
-    the caller's gap) is within tol of the imaginary axis: a double 0
-    that eig splits but the clustering merges counts as on the axis."""
-    if tol <= 0:
-        raise UsageError("tolerance must be positive")
-    return all(abs(p.z.real) > tol for p in info.points)
+    """The algebraic shortcut on the points of `info` (a `spectrum` result, clustered
+    at the caller's gap): True when none is within tol of the imaginary axis, so a
+    double 0 that eig splits but the clustering merges counts as on the axis."""
+    return is_exp_nonresonant_algebraic([p.z for p in info.points], tol)
 
 
 def planar_criterion(a: np.ndarray) -> bool:

@@ -19,6 +19,7 @@ from benflow.matrixcore import (
 from helpers import double_real_eigenvalue_6x6
 
 RANK_ONE = np.array([[1.0, 1.0], [1.0, 1.0]])
+ROT = np.array([[0.1, -1.0], [1.0, 0.1]])  # eigenvalues 0.1 +- i
 # the singular matrices of this ensemble whose double eigenvalue 0 eig splits
 INT3 = EnsembleSpec(d=3, distribution="int3", N=2000, seed=7)
 SINGULAR_INT3 = (415, 497, 1149, 1988)
@@ -206,13 +207,34 @@ class TestJordanIndex:
         a = np.diag([1.0, 1.0, 1.0], k=1)
         assert jordan_index(a, 0.0) == 3
 
-    def test_near_identity_rotation_reads_spectrum(self):
+    def test_near_identity_rotation_agrees_with_spectrum(self):
         # 1 +- 1e-10 i is one point, m = 2, with no rank drop at 1: k = 0
         angle = 1e-10
         a = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
         (point,) = spectrum(a).points
         assert (point.z, point.m, point.k) == (1.0, 2, 0)
         assert jordan_index(a, 1.0) == 0 == point.k
+
+    @pytest.mark.parametrize(
+        "block, z",
+        [
+            (np.array([[0.1, 1.0], [0.0, 0.1]]), 0.1),
+            (np.block([[ROT, np.eye(2)], [np.zeros((2, 2)), ROT]]), complex(0.1, 1.0)),
+        ],
+        ids=["J2", "complex-J2-pair"],
+    )
+    def test_defective_eigenvalue_that_spectrum_splits(self, block, z):
+        # rank drops are counted at z itself, so a Jordan block whose eigenvalue
+        # eig splits beyond the clustering gap still reads k = 1
+        rng = np.random.default_rng(11)
+        split = 0
+        for _ in range(200):
+            s = rng.standard_normal(block.shape)
+            a = s @ block @ np.linalg.inv(s)
+            if all(p.m == 1 for p in spectrum(a).points):
+                split += 1
+                assert jordan_index(a, z) == 1
+        assert split > 0
 
 
 class TestHyperbolicity:
