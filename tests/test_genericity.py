@@ -1,13 +1,16 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
+from benflow import genericity
 from benflow.errors import UsageError
-from benflow.genericity import EnsembleSpec, resonance_census, sample_generator
+from benflow.genericity import CensusReport, EnsembleSpec, _has_close_pair, resonance_census, sample_generator
 from benflow.resonance import is_exp_nonresonant_algebraic
 from exact_oracles import characteristic_polynomial, enumerate_integer_support, exact_discriminant
-from helpers import discriminant_proxy
+from helpers import census_reference, discriminant_proxy
 
 
 class TestEnsemble:
@@ -185,6 +188,98 @@ class TestCensus:
         spec = EnsembleSpec(d=2, distribution="gaussian", N=5, seed=0)
         with pytest.raises(UsageError, match="finite and positive"):
             resonance_census(spec, 10, tol, 8)
+
+
+ENSEMBLES = [(d, dist) for d in range(1, 7) for dist in ("gaussian", "uniform", "int1", "int3")]
+SMALL_SLICE = 64  # batches of 64, 16, 7, 4, 2 and 1 matrices for d = 1..6
+
+
+def _census_args(dist: str) -> list[tuple[int, float, int]]:
+    # a loose tolerance gives continuous ensembles hits to compare too
+    return [(10, 1e-8, 8), (2, 1e-2, 3)] if dist in ("gaussian", "uniform") else [(10, 1e-8, 8)]
+
+
+class TestBatchedCensus:
+    @pytest.mark.parametrize("d,dist", ENSEMBLES)
+    def test_matches_per_matrix_reference(self, monkeypatch, d, dist):
+        # N = 151 gives several batches at every d, the last one partial for d <= 5
+        monkeypatch.setattr(genericity, "SLICE", SMALL_SLICE)
+        for n in (1, 151):
+            spec = EnsembleSpec(d=d, distribution=dist, N=n, seed=100 + d)
+            for b, tol, height in _census_args(dist):
+                assert resonance_census(spec, b, tol, height) == census_reference(spec, b, tol, height)
+
+    def test_integer_ensembles_hit_every_proxy(self, monkeypatch):
+        # the reference comparison above is not vacuous: batched hits occur
+        monkeypatch.setattr(genericity, "SLICE", SMALL_SLICE)
+        report = resonance_census(EnsembleSpec(d=3, distribution="int1", N=151, seed=103), 10, 1e-8, 8)
+        assert min(report.imaginary_axis_hits, report.multiple_eigenvalue_hits, report.relation_hits) > 0
+
+    @pytest.mark.parametrize("d,dist", ENSEMBLES)
+    def test_stacked_eigvals_bit_identical(self, d, dist):
+        spec = EnsembleSpec(d=d, distribution=dist, N=151, seed=200 + d)
+        matrices = [sample_generator(spec, i) for i in range(spec.N)]
+        stacked = np.linalg.eigvals(np.stack(matrices))
+        for a, row in zip(matrices, stacked):
+            single = np.linalg.eigvals(a).astype(complex)
+            assert single.tobytes() == row.astype(complex).tobytes()
+
+    @pytest.mark.parametrize("slice_size,d,n", [(SMALL_SLICE, 3, 20), (SMALL_SLICE, 1, 64), (None, 4, 5000)])
+    def test_one_eigensolve_per_batch(self, monkeypatch, slice_size, d, n):
+        if slice_size is not None:
+            monkeypatch.setattr(genericity, "SLICE", slice_size)
+        sizes = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: sizes.append(a.size) or eigvals(a))
+        resonance_census(EnsembleSpec(d=d, distribution="gaussian", N=n, seed=1), 10, 1e-8, 8)
+        batch = max(1, genericity.SLICE // d**2)
+        assert len(sizes) == math.ceil(n / batch)
+        assert max(sizes) <= genericity.SLICE
+        assert sum(sizes) == n * d * d
+
+    def test_close_pair_per_spectrum(self):
+        eigs = np.array([[[1.0, 2.0, 1.0 + 1e-9], [1.0, 2.0, 3.0]], [[0j, 1j, -1j], [5.0, 5.0, -5.0]]])
+        flags = _has_close_pair(eigs, 1e-8)
+        assert flags.shape == (2, 2)
+        assert flags.tolist() == [[True, False], [False, True]]
+        assert not _has_close_pair(np.array([[4.0], [4.0]]), 1.0).any()
+
+
+class TestSlottedRecords:
+    def test_no_instance_dict(self):
+        spec = EnsembleSpec(d=2, distribution="int1", N=3, seed=4)
+        report = resonance_census(spec, 10, 1e-8, 8)
+        for record, field in ((spec, "seed"), (report, "base")):
+            assert not hasattr(record, "__dict__")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, field, 5)
+
+    def test_to_dict_equality_and_replace(self):
+        spec = EnsembleSpec(d=3, distribution="int3", N=8000, seed=7)
+        report = CensusReport(spec, 10, 1e-8, 8, 638, 101, 637)
+        assert report.to_dict() == {
+            "n": 8000,
+            "imaginary_axis_hits": 638,
+            "multiple_eigenvalue_hits": 101,
+            "relation_hits": 637,
+            "tol": 1e-8,
+            "height": 8,
+            "seed": 7,
+            "ensemble": "int3",
+            "dim": 3,
+            "base": 10,
+            "rng_algorithm": "philox4x64",
+        }
+        assert spec == EnsembleSpec(d=3, distribution="int3", N=8000, seed=7)
+        assert hash(spec) == hash(EnsembleSpec(d=3, distribution="int3", N=8000, seed=7))
+        assert report == CensusReport(spec, 10, 1e-8, 8, 638, 101, 637)
+        assert report != dataclasses.replace(report, relation_hits=636)
+        smaller = dataclasses.replace(spec, N=10)
+        assert (smaller.N, smaller.d, smaller.int_bound) == (10, 3, 3)
+        with pytest.raises(UsageError):
+            dataclasses.replace(spec, d=0)
+        with pytest.raises(UsageError):
+            dataclasses.replace(report, relation_hits=8001)
 
 
 class TestPerturbedDiagonalWitness:
