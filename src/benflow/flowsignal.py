@@ -74,6 +74,7 @@ _EIG_COND_LIMIT = 1e8
 _TABLE = 1024  # rows of the shared mode-factor table (eigen path block length)
 _POWERS = 256  # propagator powers S^1..S^m kept by the stepping fallback
 _TRIVIAL_REL = 1e-12  # triviality_check's cutoff, relative to the largest power norm
+_NO_FRACTION = 2.0**52 + 2.0**11  # |r t / ln b| from which no log sample keeps a fractional bit
 
 VERDICT_PASS = "BENFORD_PASS"
 VERDICT_FAIL = "FAIL"
@@ -320,8 +321,20 @@ def _eigen_logb(modes: _FlowModes, weights: np.ndarray, grid: SamplingGrid, b: i
 
 def _log_tail(part: np.ndarray, t: np.ndarray, r: float, b: int) -> None:
     """Turn `part`, |shifted signal| at the grid times t, into
-    log_b|f| = log|shifted| / ln b + r t / ln b in place."""
+    log_b|f| = log|shifted| / ln b + r t / ln b in place.
+
+    |log|shifted|| / ln b is at most 1075 (a finite positive double lies
+    in e^(+-745)), so once |r| t / ln b reaches _NO_FRACTION at the first
+    time of a pass, every log sample of the pass is 2^52 or more, where a
+    double has no fractional bit: that is a usage error, decided once per
+    pass from r and t[0] (t ascends from t[0] > 0).
+    """
     lnb = math.log(b)
+    if t.size and abs(r) * t[0] >= _NO_FRACTION * lnb:
+        raise UsageError(
+            f"r = {r} puts every |log_b f| from t = {t[0]} on at 2^52 or more, "
+            "where no fractional bit (no significand) is left"
+        )
     with np.errstate(divide="ignore"):
         np.log(part, out=part)
     part /= lnb

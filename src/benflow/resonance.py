@@ -25,6 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 import mpmath
+import numpy as np
 
 from .errors import UsageError
 from .exactreal import (
@@ -291,6 +292,7 @@ class IntegerRelation:
 
 _RESIDUAL_TOL = 1e-9
 _GROUP_TOL = 1e-9  # relative gap in Re under which numeric_relation_scan groups elements
+_MAX_HEIGHT = 10**6  # 2^-52 * height stays under _RESIDUAL_TOL, which _relation_candidates needs
 # PSLQ acceptance on the scale-normalised values: a relation among float
 # inputs holds only to about 1e-16, never to mpmath's default 2^(-0.75 prec)
 _PSLQ_TOL = mpmath.mpf(2) ** -40
@@ -319,6 +321,14 @@ def _pslq_relation(values: list[mpmath.mpf], height: int) -> list[int] | None:
     return list(rel) if rel is not None and max(map(abs, rel)) <= height else None
 
 
+def _check_height(height: int) -> None:
+    """The coefficient heights numeric_relation_scan accepts: 1..10^6."""
+    if height < 1:
+        raise UsageError("height must be >= 1")
+    if height > _MAX_HEIGHT:
+        raise UsageError("height is unreasonably large for a numeric scan")
+
+
 def numeric_relation_scan(zs: Iterable[complex], b: int, height: int = 8) -> IntegerRelation | None:
     """Search for integer relations among scaled spectrum coordinates.
 
@@ -329,10 +339,7 @@ def numeric_relation_scan(zs: Iterable[complex], b: int, height: int = 8) -> Int
     advisory only and proves nothing.
     """
     b = validate_base(b)
-    if height < 1:
-        raise UsageError("height must be >= 1")
-    if height > 10**6:
-        raise UsageError("height is unreasonably large for a numeric scan")
+    _check_height(height)
     elements = sorted(set(complex(z) for z in zs), key=lambda z: (z.real, z.imag))
     if not elements:
         return None
@@ -402,3 +409,67 @@ def _scan_group(re: float, gens: list[float], height: int) -> tuple[int, list[in
         return q, p[:drop] + [0] + p[drop:]
     q, p = rel[0], [-c for c in rel[1:]]
     return (q, p) if q > 0 else (-q, [-c for c in p])
+
+
+def _relation_candidates(eigs: np.ndarray, b: int, height: int) -> np.ndarray:
+    """Mask over the rows of an (n, d) complex array: a row outside it is
+    one numeric_relation_scan(row, b, height) provably returns None for.
+
+    With g = |Im z| ln b / pi and scale as in the scan, a row enters when
+    it is not finite, when some |Re z| <= 2 _RESIDUAL_TOL scale (a group
+    without generators, or _scan_group's tiny-Re branch), when two
+    elements that are neither equal nor conjugate have real parts within
+    2 _GROUP_TOL scale (any group the scan forms with more than one
+    element up to conjugation, the PSLQ branch among them), or when some
+    g != 0 has, for x = |Re z| / g,
+
+        min over 1 <= q <= height of ||q x|| <= 2 _RESIDUAL_TOL scale / g + slack.
+
+    Otherwise each group is one element up to conjugation, its one
+    generator is +-g, and a hit would need |q Re z - p g| < _RESIDUAL_TOL
+    scale in floats, so |q x - p| < (_RESIDUAL_TOL + 2^-52 height) scale / g
+    exactly, under the bound above for height <= 10^6 (the |p| <= height
+    clip is dropped, which only enlarges the mask).  The minimum is that
+    of the fractional part of fl(x) truncated to 2^-62 fixed point: by the
+    best-approximation property of continued fractions it is attained at
+    the last convergent denominator q_k <= height, and the int64 Euclid
+    remainders are exactly ||q_k x'|| 2^62.  slack = height (x 2^-50 + 2^-60)
+    covers the rounding of x and the truncation, and the comparison keeps
+    a relative 2^-40 for its own rounding.  Memory is O(n d^2) whatever
+    the height; the loop runs about log_phi(height) steps.
+    """
+    eigs = np.asarray(eigs, dtype=complex)
+    factor = math.log(b) / math.pi
+    re = np.abs(eigs.real)
+    g = np.abs(eigs.imag) * factor
+    scale = np.maximum(np.maximum(re, g).max(axis=1), 1.0)[:, None]
+    mask = ~np.isfinite(eigs).all(axis=1)
+    mask |= (re <= 2 * _RESIDUAL_TOL * scale).any(axis=1)
+    # pairs i < j within one row: equal or conjugate elements never split a group
+    i, j = np.triu_indices(eigs.shape[1], 1)
+    a, c = eigs[:, i], eigs[:, j]
+    near = np.abs(a.real - c.real) <= 2 * _GROUP_TOL * scale
+    mask |= (near & (a != c) & (a != c.conj())).any(axis=1)
+    lanes = (g > 0) & ~mask[:, None]
+    g = g[lanes]
+    with np.errstate(over="ignore"):
+        # from 2^52 on (overflow included) x has no fractional bit: ||q x|| = 0
+        x = np.minimum(re[lanes] / g, 2.0**52)
+    bound = 2 * _RESIDUAL_TOL * np.broadcast_to(scale, lanes.shape)[lanes] / g + height * (x * 2.0**-50 + 2.0**-60)
+    prev_r = np.full(x.shape, 2**62, dtype=np.int64)
+    r = ((x - np.floor(x)) * 2.0**62).astype(np.int64)
+    prev_q, q = np.zeros_like(r), np.ones_like(r)
+    live = r > 0
+    while live.any():
+        step = np.minimum(prev_r[live] // r[live], height + 1)
+        next_q = step * q[live] + prev_q[live]
+        fits = next_q <= height
+        idx = np.flatnonzero(live)[fits]
+        step, next_q = step[fits], next_q[fits]
+        prev_r[idx], r[idx] = r[idx], prev_r[idx] - step * r[idx]
+        prev_q[idx], q[idx] = q[idx], next_q
+        live[:] = False
+        live[idx] = r[idx] > 0
+    hit = np.zeros(lanes.shape, dtype=bool)
+    hit[lanes] = r * 2.0**-62 <= bound * (1 + 2.0**-40)
+    return mask | hit.any(axis=1)

@@ -343,6 +343,13 @@ class TestBenfordCommand:
         assert out == ""
         assert err.startswith("error: ") and "must be finite" in err and "Traceback" not in err
 
+    def test_no_fractional_bit_exit_2(self, capsys):
+        # log_b e^{1e300 t} is past 2^52 from the first grid time on: no significand is left
+        code, out, err = run_cli(capsys, "benford", "--synthetic", "r=1e300")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and "2^52" in err and "Traceback" not in err
+
     def test_unallocatable_sample_count_exit_2(self, capsys):
         # 1e17 samples on the default step: refused at once, nothing is allocated
         code, out, err = run_cli(capsys, "--horizon", "1e15", "benford", "--synthetic", "r=1")
@@ -420,6 +427,12 @@ class TestCensusCommand:
         code, out, _ = run_cli(capsys, "census", "--dim", "2", "--n", "300", "--dist", "int1")
         assert code == EXIT_OK
         assert json.loads(out)["imaginary_axis_hits"] > 0
+
+    def test_height_cap_exit_2(self, capsys):
+        # no row of a 1x1 Gaussian block reaches the scan; the cap is checked up front
+        code, out, err = run_cli(capsys, "census", "--dim", "1", "--n", "3", "--height", "2000000")
+        assert code == EXIT_USAGE
+        assert out == "" and err == "error: height is unreasonably large for a numeric scan\n"
 
     def test_zero_samples_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "census", "--dim", "2", "--n", "0")

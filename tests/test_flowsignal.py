@@ -29,6 +29,7 @@ from benflow.flowsignal import (
     sample_log_signal,
     triviality_check,
 )
+from benflow.significand import SLICE
 from benflow.udmod1 import SamplingGrid
 
 LN10 = math.log(10)
@@ -193,6 +194,41 @@ class TestBuildObservable:
         a = np.array([[0.3, -1.7], [1.7, 0.3]])
         with pytest.raises(UsageError):
             build_observable_for_modes(a, [complex(0.3, -1.7)], [1.0])
+
+
+class TestNoFractionalBit:
+    # from |r t / ln b| = 2^52 + 2^11 on, every log sample is 2^52 or more
+    # whatever the shifted signal, and a double that large has no fraction
+    GRID = SamplingGrid(T=2.0, step=0.01)
+
+    @staticmethod
+    def _bound(b, t0=0.01):
+        return (2.0**52 + 2.0**11) * math.log(b) / t0
+
+    @pytest.mark.parametrize("b", [2, 10, 16])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_just_past_the_bound_is_a_usage_error(self, b, sign):
+        r = sign * self._bound(b) * (1 + 1e-9)
+        for spec in (Synthetic(r=r, k=0, modes=((0.0, 1.0),)), ObservableOnFlow(np.array([[r]]), Observable(np.array([[1.0]])))):
+            with pytest.raises(UsageError, match="2\\^52"):
+                sample_log_signal(spec, self.GRID, b)
+
+    @pytest.mark.parametrize("b", [2, 10, 16])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_just_inside_the_bound_is_sampled(self, b, sign):
+        r = sign * self._bound(b) * (1 - 1e-9)
+        logs = sample_log_signal(Synthetic(r=r, k=0, modes=((0.0, 1.0),)), self.GRID, b).values
+        assert logs.size == self.GRID.count and np.isfinite(logs).all()
+        # further inside, the log samples carry fractional bits
+        logs = sample_log_signal(Synthetic(r=sign * self._bound(b) * 1e-6 * math.pi, k=0, modes=((0.0, 1.0),)), self.GRID, b).values
+        assert (logs[:50] != np.round(logs[:50])).any()
+
+    def test_a_pass_past_the_bound_names_its_first_time(self):
+        # the first pass keeps its fractions, the second (from t = SLICE + 1) has none
+        grid = SamplingGrid(T=float(SLICE + 100), step=1.0)
+        r = self._bound(10, t0=SLICE + 1)
+        with pytest.raises(UsageError, match=f"from t = {float(SLICE + 1)} on"):
+            sample_log_signal(Synthetic(r=r, k=0, modes=((0.0, 1.0),)), grid, 10)
 
 
 class TestVerdicts:

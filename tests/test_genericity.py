@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -7,7 +8,14 @@ import pytest
 
 from benflow import genericity
 from benflow.errors import UsageError
-from benflow.genericity import CensusReport, EnsembleSpec, _has_close_pair, resonance_census, sample_generator
+from benflow.genericity import (
+    CensusReport,
+    EnsembleSpec,
+    _draw_batch,
+    _has_close_pair,
+    resonance_census,
+    sample_generator,
+)
 from benflow.resonance import is_exp_nonresonant_algebraic
 from exact_oracles import characteristic_polynomial, enumerate_integer_support, exact_discriminant
 from helpers import census_reference, discriminant_proxy
@@ -54,6 +62,50 @@ class TestEnsemble:
         assert sample_generator(largest, 0).shape == (2, 2)
         with pytest.raises(UsageError, match="2\\^63 - 1"):
             EnsembleSpec(d=2, distribution=f"int{2**63}", N=1, seed=0)
+
+
+DRAW_DISTRIBUTIONS = ["gaussian", "uniform", "int1", "int3", "int1000000", f"int{2**63 - 1}"]
+
+
+def _fresh_draw(spec: EnsembleSpec, index: int) -> np.ndarray:
+    """Matrix `index` from a Philox built for it alone: the documented stream."""
+    rng = np.random.Generator(np.random.Philox(key=spec.seed, counter=[0, index, 0, 0]))
+    shape = (spec.d, spec.d)
+    if spec.distribution == "gaussian":
+        return rng.standard_normal(shape)
+    if spec.distribution == "uniform":
+        return rng.uniform(-1.0, 1.0, shape)
+    return rng.integers(-spec.int_bound, spec.int_bound + 1, size=shape).astype(float)
+
+
+class TestBatchDraws:
+    # one reused Philox whose counter is rewritten through `state` must give
+    # the bytes of a fresh Philox per index, which depends on numpy's layout
+    # of bit_generator.state
+
+    @pytest.mark.parametrize("dist", DRAW_DISTRIBUTIONS)
+    @pytest.mark.parametrize("seed", [0, 2**128 - 1])
+    def test_batch_equals_fresh_philox(self, dist, seed):
+        spec = EnsembleSpec(d=3, distribution=dist, N=100_000, seed=seed)
+        batch = max(1, genericity.SLICE // spec.d**2)
+        for lo, hi in ((0, 40), (batch - 3, batch), (batch, batch + 3), (batch - 2, batch + 2), (99_990, 100_000)):
+            stack = _draw_batch(spec, lo, hi)
+            assert stack.shape == (hi - lo, 3, 3) and stack.dtype == np.float64
+            for row, index in zip(stack, range(lo, hi)):
+                assert row.tobytes() == _fresh_draw(spec, index).tobytes(), (lo, index)
+                assert sample_generator(spec, index).tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("dist", DRAW_DISTRIBUTIONS)
+    def test_census_batches_draw_the_documented_stream(self, monkeypatch, dist):
+        # batches of 7 at d = 3: every boundary of the census's own batches is crossed
+        monkeypatch.setattr(genericity, "SLICE", SMALL_SLICE)
+        spec = EnsembleSpec(d=3, distribution=dist, N=30, seed=2**128 - 1)
+        drawn = []
+        real = genericity._draw_batch
+        monkeypatch.setattr(genericity, "_draw_batch", lambda *args: drawn.append(real(*args)) or drawn[-1])
+        resonance_census(spec, 10, 1e-8, 8)
+        assert [len(stack) for stack in drawn] == [7, 7, 7, 7, 2]
+        assert np.concatenate(drawn).tobytes() == np.stack([_fresh_draw(spec, i) for i in range(30)]).tobytes()
 
 
 class TestDiscriminantProxy:
@@ -243,6 +295,71 @@ class TestBatchedCensus:
         assert flags.shape == (2, 2)
         assert flags.tolist() == [[True, False], [False, True]]
         assert not _has_close_pair(np.array([[4.0], [4.0]]), 1.0).any()
+
+
+# the 14-report corpus of the stacked-eigensolve census: several batches,
+# the last one partial for d >= 3, in two (base, tol, height) settings
+CORPUS = [(1, "gaussian", 4000, 1), (2, "uniform", 4000, 2), (3, "int1", 8000, 3), (3, "int3", 8000, 7),
+          (4, "gaussian", 5000, 4), (5, "uniform", 3000, 5), (6, "int3", 2000, 6)]
+CORPUS_SHA256 = "5b45576ec914a672890ac5d600ccd66d1a646c97125aacd6adf7bd7427b4e746"
+
+
+class TestRelationPrefilter:
+    def test_corpus_hash(self):
+        text = "".join(
+            json.dumps(resonance_census(EnsembleSpec(d=d, distribution=dist, N=n, seed=seed), b, tol, h).to_dict(),
+                       sort_keys=True) + "\n"
+            for d, dist, n, seed in CORPUS
+            for b, tol, h in ((10, 1e-8, 8), (2, 1e-3, 3))
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == CORPUS_SHA256
+
+    @pytest.mark.parametrize("height", [1, 8, 20, 1000, 10**6])
+    @pytest.mark.parametrize("d,dist", [(4, "gaussian"), (5, "uniform"), (3, "int1"), (3, "int3"), (2, "int1"),
+                                        (6, "int1000000")])
+    def test_matches_reference_at_height(self, monkeypatch, height, d, dist):
+        monkeypatch.setattr(genericity, "SLICE", SMALL_SLICE)
+        spec = EnsembleSpec(d=d, distribution=dist, N=300, seed=40 + d)
+        for b in (10, 2):
+            assert resonance_census(spec, b, 1e-8, height) == census_reference(spec, b, 1e-8, height)
+
+    def test_reference_comparison_sees_hits_at_every_height(self):
+        # the heights above are not vacuous: a continuous ensemble hits at 10^6
+        spec = EnsembleSpec(d=4, distribution="gaussian", N=2000, seed=7)
+        assert resonance_census(spec, 10, 1e-8, 10**6).relation_hits > 0
+        assert resonance_census(EnsembleSpec(d=3, distribution="int1", N=300, seed=43), 10, 1e-8, 1).relation_hits > 0
+
+    @staticmethod
+    def _count_scans(monkeypatch):
+        calls = []
+        real = genericity.numeric_relation_scan
+        monkeypatch.setattr(genericity, "numeric_relation_scan", lambda *args: calls.append(args) or real(*args))
+        return calls
+
+    def test_gaussian_block_skips_the_scan(self, monkeypatch):
+        calls = self._count_scans(monkeypatch)
+        report = resonance_census(EnsembleSpec(d=4, distribution="gaussian", N=500, seed=1), 10, 1e-8, 8)
+        assert report.relation_hits == 0
+        assert calls == []
+
+    def test_candidates_scanned_in_index_order(self, monkeypatch):
+        calls = self._count_scans(monkeypatch)
+        spec = EnsembleSpec(d=3, distribution="int1", N=200, seed=3)
+        report = resonance_census(spec, 10, 1e-8, 8)
+        spectra = [np.linalg.eigvals(sample_generator(spec, i)).tolist() for i in range(spec.N)]
+        remaining = iter(spectra)  # the scanned rows are a subsequence of the spectra
+        assert all(any(row == spectrum for spectrum in remaining) for row, _, _ in calls)
+        assert len(calls) >= report.relation_hits > 0
+        assert all(args[1:] == (10, 8) for args in calls)
+
+    def test_height_cap_checked_up_front(self, monkeypatch):
+        # a Gaussian block puts no row through the scan, yet the cap still applies
+        calls = self._count_scans(monkeypatch)
+        spec = EnsembleSpec(d=1, distribution="gaussian", N=3, seed=0)
+        with pytest.raises(UsageError, match="unreasonably large"):
+            resonance_census(spec, 10, 1e-8, 2_000_000)
+        assert resonance_census(spec, 10, 1e-8, 10**6).relation_hits == 0
+        assert calls == []
 
 
 class TestSlottedRecords:

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -451,3 +452,110 @@ class TestNumericRelationScan:
         zs = [complex(re, im) for re, im in zip(res, ims)]
         assert numeric_relation_scan(zs, 10, 8) is None
         assert scanned == [(res[0] / scale, 2), (res[2] / scale, 1)]
+
+
+BASES = (2, 10, 16)
+HEIGHTS = st.integers(1, 10**6)
+
+
+def _candidate(row, b, height) -> bool:
+    """Whether the prefilter sends this one spectrum to the scan."""
+    return bool(resonance._relation_candidates(np.array([row], dtype=complex), b, height)[0])
+
+
+def _pair(re, im):
+    return [complex(re, im), complex(re, -im)]
+
+
+class TestRelationPrefilter:
+    """A row outside resonance._relation_candidates must be one the scan
+    finds nothing in; planted relations must all land in the mask."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(BASES), HEIGHTS, st.data())
+    def test_planted_rational_ratio(self, b, height, data):
+        q = data.draw(st.integers(1, height))
+        p = data.draw(st.integers(-height, height))
+        im = data.draw(st.floats(1e-3, 1e3))
+        extra = data.draw(st.lists(st.floats(-50.0, 50.0), max_size=3))
+        re = p * (math.log(b) / math.pi * im) / q
+        assert _candidate(_pair(re, im) + extra, b, height)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(BASES), HEIGHTS, st.data())
+    def test_near_relations_never_missed(self, b, height, data):
+        # Re within a few _RESIDUAL_TOL * scale of (p/q) g: the scan's
+        # acceptance edge, where a rounding slip in the prefilter would show
+        q = data.draw(st.integers(1, height))
+        p = data.draw(st.integers(-height, height))
+        im = data.draw(st.floats(1e-2, 1e2))
+        g = math.log(b) / math.pi * im
+        re = p * g / q
+        scale = max(1.0, abs(re), g)
+        re += data.draw(st.floats(-4.0, 4.0)) * resonance._RESIDUAL_TOL * scale / q
+        row = _pair(re, im)
+        if numeric_relation_scan(row, b, height) is not None:
+            assert _candidate(row, b, height)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(BASES),
+        HEIGHTS,
+        st.lists(st.tuples(st.integers(-4, 4), st.integers(0, 4)), min_size=1, max_size=4),
+        st.sampled_from([1.0, 0.5, 1 / 3, math.pi, math.log(10) / math.pi]),
+    )
+    def test_no_scan_hit_outside_the_mask(self, b, height, parts, unit):
+        # small lattices of values in one unit collide and relate often
+        row = [z for re, im in parts for z in _pair(re * unit, im * unit)]
+        if numeric_relation_scan(row, b, height) is not None:
+            assert _candidate(row, b, height)
+
+    @pytest.mark.parametrize("b", BASES)
+    @pytest.mark.parametrize("height", [1, 8, 10**6])
+    def test_imaginary_axis(self, b, height):
+        assert _candidate(_pair(0.0, 2.0) + [3.0], b, height)
+        assert _candidate([0.0, 5.0], b, height)
+        assert _candidate(_pair(1e-12, 1.0), b, height)
+
+    @pytest.mark.parametrize("b", BASES)
+    @pytest.mark.parametrize("height", [1, 8, 10**6])
+    def test_two_pairs_under_one_real_part(self, b, height):
+        # the PSLQ branch: two generators in one group
+        re = math.log(b) / math.pi * (1.0 + math.sqrt(2))
+        row = _pair(re, 1.0) + _pair(re, math.sqrt(2))
+        assert _candidate(row, b, height)
+        assert _candidate(_pair(0.7, 1.0) + _pair(0.7 + 1e-10, 2.0), b, height)
+        assert _candidate([2.5, 2.5 + 1e-10], b, height)
+
+    @pytest.mark.parametrize("b", BASES)
+    @pytest.mark.parametrize("height", [1, 8, 10**6])
+    def test_tiny_generator_against_scale(self, b, height):
+        # g = 7e-5 under scale 1e6: 2 _RESIDUAL_TOL scale / g > 1/2, any Re fits
+        row = _pair(0.123456789, 1e-4) + [1e6]
+        assert _candidate(row, b, height)
+        assert _candidate(_pair(0.3, 1e-300), b, height)
+
+    @pytest.mark.parametrize("b", BASES)
+    @pytest.mark.parametrize("height", [1, 8, 10**6])
+    def test_huge_ratio(self, b, height):
+        # Re / g past 2^52 keeps no fractional bit, so ||q x|| is 0
+        assert _candidate(_pair(1.0, 1e-20), b, height)
+        assert _candidate(_pair(3.0, 3e-16), b, height)
+
+    @pytest.mark.parametrize("b", BASES)
+    def test_unrelated_rows_stay_out(self, b):
+        # the mask is tight where the scan has nothing to find
+        assert not _candidate(_pair(math.sqrt(2), math.e), b, 8)
+        assert not _candidate([math.sqrt(3), -math.pi] + _pair(-1.1, 0.9), b, 1000)
+        assert not _candidate(_pair(1.0 + math.sqrt(2) / 7, 1.0) + _pair(-2.0, 2.0), b, 8)
+
+    def test_non_finite_rows_go_to_the_scan(self):
+        mask = resonance._relation_candidates(np.array([[complex(math.nan, 1.0), 1.0], [2.0, math.sqrt(2)]]), 10, 8)
+        assert mask.tolist() == [True, False]
+
+    def test_height_cap_shared_with_the_scan(self):
+        with pytest.raises(UsageError, match="unreasonably large"):
+            numeric_relation_scan([complex(1, 1)], 10, 10**6 + 1)
+        with pytest.raises(UsageError, match="unreasonably large"):
+            resonance._check_height(10**6 + 1)
+        resonance._check_height(10**6)
