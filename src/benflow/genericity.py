@@ -81,24 +81,44 @@ def _draw_batch(spec: EnsembleSpec, lo: int, hi: int) -> np.ndarray:
     from Philox(key=seed, counter=[0, i, 0, 0]): one bit generator is
     built, and the state dict captured at construction is written back
     per index with only its counter changed, so the buffer and the
-    cached uint32 are reset exactly as a fresh generator's would be."""
+    cached uint32 are reset exactly as a fresh generator's would be.
+
+    For int<m> with 2m + 1 < 2^32, `rng.integers` takes numpy's 32-bit
+    Lemire draw, done here for the whole batch: a matrix's raw 64-bit
+    words give x_0, x_1, ... as low then high 32 bits, and entry j is
+    ((x_j (2m + 1)) >> 32) - m.  A matrix where numpy would reject some
+    x_j (the low 32 bits of x_j (2m + 1) below 2^32 mod (2m + 1)) and
+    draw again is redrawn through `rng.integers`."""
     bitgen = np.random.Philox(key=spec.seed, counter=[0, lo, 0, 0])
     rng = np.random.Generator(bitgen)
     state = bitgen.state
     counter = state["state"]["counter"]
+
+    def per_index(indices, draw, out: np.ndarray) -> np.ndarray:
+        for row, index in enumerate(indices):
+            counter[1] = index
+            bitgen.state = state
+            out[row] = draw()
+        return out
+
     shape = (spec.d, spec.d)
+    m = spec.int_bound
     if spec.distribution == "gaussian":
         draw = lambda: rng.standard_normal(shape)
     elif spec.distribution == "uniform":
         draw = lambda: rng.uniform(-1.0, 1.0, shape)
     else:
-        m = spec.int_bound
         draw = lambda: rng.integers(-m, m + 1, size=shape)  # stored as float, like astype(float)
-    out = np.empty((hi - lo, *shape))
-    for row, index in enumerate(range(lo, hi)):
-        counter[1] = index
-        bitgen.state = state
-        out[row] = draw()
+    if m is None or 2 * m + 1 >= 2**32:
+        return per_index(range(lo, hi), draw, np.empty((hi - lo, *shape)))
+    span = 2 * m + 1
+    nwords = -(-spec.d**2 // 2)
+    words = per_index(range(lo, hi), lambda: bitgen.random_raw(nwords), np.empty((hi - lo, nwords), np.uint64))
+    x = np.stack([words & 0xFFFFFFFF, words >> 32], axis=2).reshape(hi - lo, -1)[:, : spec.d**2]
+    scaled = x * np.uint64(span)
+    out = ((scaled >> 32).astype(float) - m).reshape(hi - lo, *shape)
+    redraw = np.flatnonzero(((scaled & 0xFFFFFFFF) < (2**32 - span) % span).any(axis=1))
+    out[redraw] = per_index(lo + redraw, draw, np.empty((redraw.size, *shape)))
     return out
 
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from .config import Tolerances
 from .errors import DomainError, NumericalError, SignalOverflowError, UsageError
@@ -21,6 +20,13 @@ from .resonance import is_exp_nonresonant_algebraic
 
 _DEFAULT_TOL = Tolerances()
 _RANK_TOL = 1e-10  # relative singular-value cutoff of the rank drops behind Jordan indices
+# Pade [13/13] coefficients b_0..b_13 of e^x over b_0, so that b_1 A stays finite for a huge nilpotent A
+_PADE13 = np.array([
+    64764752532480000, 32382376266240000, 7771770303897600, 1187353796428800, 129060195264000,
+    10559470521600, 670442572800, 33522128640, 1323241920, 40840800, 960960, 16380, 182, 1,
+]) / 64764752532480000
+_THETA13 = 5.371920351148152  # the largest eta for which [13/13] meets unit roundoff backward error
+_LOG2_C27_OVER_U = math.log2(math.factorial(13) ** 2 / (math.factorial(26) * math.factorial(27))) + 53
 
 
 def as_square_matrix(obj) -> np.ndarray:
@@ -34,19 +40,91 @@ def as_square_matrix(obj) -> np.ndarray:
 
 
 def expm(a: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """e^{tA} by scaling-and-squaring with Pade approximants.
+    """e^{tA} by scaling-and-squaring with the [13/13] Pade approximant.
 
-    Raises SignalOverflowError when entries of the result leave the
-    floating-point range, naming the offending t.
+    The algorithm of Higham (SIAM J. Matrix Anal. Appl. 26, 2005) with
+    the scaling of Al-Mohy and Higham (SIAM J. Matrix Anal. Appl. 31,
+    2009): the number of squarings s comes from the norms of powers of
+    tA rather than from ||tA||_1, so a nilpotent generator with huge
+    entries is not squared into roundoff.  A 1 x 1 generator gives
+    np.exp; a zero matrix gives the exact identity.  Raises
+    SignalOverflowError when tA, its 1-norm or entries of the result
+    leave the floating-point range, naming the offending t.
     """
     a = as_square_matrix(a)
     if not math.isfinite(t):
         raise DomainError(f"time must be finite, got {t}")
     with np.errstate(over="ignore", invalid="ignore"):
-        result = scipy.linalg.expm(t * a)
-    if not np.all(np.isfinite(result)):
+        ta = t * a
+        norm = _onenorm(ta)
+        if ta.shape == (1, 1):
+            result = np.exp(ta)
+        elif math.isfinite(norm):
+            result = _pade13_squared(ta, norm)
+        else:
+            result = None  # tA or its 1-norm left the floating-point range
+    if result is None or not np.all(np.isfinite(result)):
         raise SignalOverflowError(f"matrix exponential overflowed at t = {t}", t=t)
     return result
+
+
+def _onenorm(m: np.ndarray) -> float:
+    """||m||_1, and inf where an entry overflowed (inf or nan)."""
+    norm = float(np.abs(m).sum(axis=0).max())
+    return math.inf if math.isnan(norm) else norm
+
+
+def _pade13_squared(a: np.ndarray, norm: float) -> np.ndarray:
+    """e^A for a d x d A, d >= 2, with finite 1-norm `norm` (see expm).
+
+    With d_k = ||A^k||_1^(1/k) and eta = min(max(d_6, d_8), max(d_8, d_10))
+    (capped at ||A||_1, which bounds every d_k, for powers that overflow),
+    s is the least s >= 0 with 2^-s eta <= theta_13, plus the extra
+    squarings `_extra_squarings` finds for 2^-s A.  The approximant is
+    formed as I + 2 (V - U)^-1 U, so a zero A gives I exactly.
+    """
+    a2 = a @ a
+    a4 = a2 @ a2
+    a8 = a4 @ a4
+    d6, d8, d10 = (_onenorm(p) ** (1.0 / k) for k, p in ((6, a4 @ a2), (8, a8), (10, a8 @ a2)))
+    eta = min(max(d6, d8), max(d8, d10), norm)
+    s = max(0, math.ceil(math.log2(eta) - math.log2(_THETA13))) if eta > 0.0 else 0
+    s += _extra_squarings(np.ldexp(a, -s))
+    a = np.ldexp(a, -s)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    b = _PADE13
+    eye = np.eye(a.shape[0])
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + eye
+    result = eye + 2.0 * np.linalg.solve(v - u, u)  # = (V - U)^-1 (V + U)
+    for _ in range(s):
+        result = result @ result
+    return result
+
+
+def _extra_squarings(a: np.ndarray) -> int:
+    """Al-Mohy and Higham's l(A, 13) = max(0, ceil(log2(alpha / u) / 26)) with
+    alpha = |c_27| || |A|^27 ||_1 / ||A||_1 and |c_27| = (13!)^2 / (26! 27!).
+
+    |A|^27 is formed by binary powering from |A| scaled by 2^-e to a
+    1-norm in [1/2, 1), so no power overflows; the 2^(26 e) goes into
+    the logarithm.
+    """
+    norm = _onenorm(a)
+    if norm == 0.0:
+        return 0
+    e = math.frexp(norm)[1]
+    q = np.ldexp(np.abs(a), -e)
+    q2 = q @ q
+    q4 = q2 @ q2
+    q8 = q4 @ q4
+    power = _onenorm((q8 @ q8) @ q8 @ q2 @ q)  # 27 = 16 + 8 + 2 + 1
+    if power == 0.0:
+        return 0
+    log2_alpha_over_u = _LOG2_C27_OVER_U + 26 * e + math.log2(power / math.ldexp(norm, -e))
+    return max(0, math.ceil(log2_alpha_over_u / 26))
 
 
 @dataclass(frozen=True)

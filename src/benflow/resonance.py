@@ -299,7 +299,11 @@ _PSLQ_TOL = mpmath.mpf(2) ** -40
 
 
 def _rational_fit(ratio: float, height: int) -> tuple[int, int] | None:
-    """Best p/q approximation with q <= height; rejects |p| > height."""
+    """Best p/q approximation with q <= height; rejects |p| > height and a
+    ratio that overflowed (as Re / g does for a subnormal g), whose fit
+    would have |p| > height too."""
+    if not math.isfinite(ratio):
+        return None
     frac = Fraction(ratio).limit_denominator(height)
     if abs(frac.numerator) > height:
         return None
@@ -453,9 +457,10 @@ def _relation_candidates(eigs: np.ndarray, b: int, height: int) -> np.ndarray:
     lanes = (g > 0) & ~mask[:, None]
     g = g[lanes]
     with np.errstate(over="ignore"):
-        # from 2^52 on (overflow included) x has no fractional bit: ||q x|| = 0
+        # from 2^52 on (overflow included) x has no fractional bit: ||q x|| = 0;
+        # a bound that overflows (subnormal g) admits the lane
         x = np.minimum(re[lanes] / g, 2.0**52)
-    bound = 2 * _RESIDUAL_TOL * np.broadcast_to(scale, lanes.shape)[lanes] / g + height * (x * 2.0**-50 + 2.0**-60)
+        bound = 2 * _RESIDUAL_TOL * np.broadcast_to(scale, lanes.shape)[lanes] / g + height * (x * 2.0**-50 + 2.0**-60)
     prev_r = np.full(x.shape, 2**62, dtype=np.int64)
     r = ((x - np.floor(x)) * 2.0**62).astype(np.int64)
     prev_q, q = np.zeros_like(r), np.ones_like(r)

@@ -64,7 +64,10 @@ class TestEnsemble:
             EnsembleSpec(d=2, distribution=f"int{2**63}", N=1, seed=0)
 
 
-DRAW_DISTRIBUTIONS = ["gaussian", "uniform", "int1", "int3", "int1000000", f"int{2**63 - 1}"]
+# int0 draws nothing; int<2^30> takes the redraw on most rows; int<2^31 - 1> is the
+# widest range drawn through the 32-bit Lemire step, int<2^31> the first wider one
+DRAW_DISTRIBUTIONS = ["gaussian", "uniform", "int1", "int3", "int1000000", f"int{2**63 - 1}",
+                      "int0", f"int{2**30}", f"int{2**31 - 1}", f"int{2**31}"]
 
 
 def _fresh_draw(spec: EnsembleSpec, index: int) -> np.ndarray:
@@ -94,6 +97,14 @@ class TestBatchDraws:
             for row, index in zip(stack, range(lo, hi)):
                 assert row.tobytes() == _fresh_draw(spec, index).tobytes(), (lo, index)
                 assert sample_generator(spec, index).tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 6])
+    @pytest.mark.parametrize("dist", ["int0", "int1", "int3", "int1000000", f"int{2**30}", f"int{2**31 - 1}"])
+    def test_integer_batch_every_word_layout(self, d, dist):
+        # d^2 even or odd: the last raw word of a matrix is used whole or in its low half
+        spec = EnsembleSpec(d=d, distribution=dist, N=1000, seed=12345)
+        stack = _draw_batch(spec, 900, 1000)
+        assert stack.tobytes() == np.stack([_fresh_draw(spec, i) for i in range(900, 1000)]).tobytes()
 
     @pytest.mark.parametrize("dist", DRAW_DISTRIBUTIONS)
     def test_census_batches_draw_the_documented_stream(self, monkeypatch, dist):

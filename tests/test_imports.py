@@ -1,4 +1,5 @@
-"""Every imported name in the package and the tests is used.
+"""Every imported name in the package and the tests is used, and the
+package imports nothing beyond its declared runtime dependencies.
 
 A stdlib-`ast` scan: a module's imported names must each appear as a
 name (or the root of an attribute chain) somewhere in that module,
@@ -7,6 +8,9 @@ importing, and names listed in `__all__` are exports, so both are
 exempt; `from __future__` imports are directives, not names.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -82,3 +86,14 @@ def test_scan_catches_unused_and_accepts_used():
         "    return os.path.join(str(F(1)))\n"
     )
     assert unused_imports(source) == ["line 2: math"]
+
+
+def test_runtime_loads_no_scipy():
+    # the matrix exponential is the package's own, so neither the library nor the CLI loads scipy
+    code = "import sys, benflow, benflow.cli; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -453,6 +453,16 @@ class TestNumericRelationScan:
         assert numeric_relation_scan(zs, 10, 8) is None
         assert scanned == [(res[0] / scale, 2), (res[2] / scale, 1)]
 
+    @pytest.mark.parametrize(
+        "zs", [[complex(0.3, 5e-324), complex(0.3, -5e-324)], [complex(0.3, 1e-310), complex(0.3, -1e-310), 1e6]]
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_ratio_has_no_relation(self, zs):
+        # Re / g overflows for a subnormal g; like a huge finite ratio, its best fit has |p| > height.
+        # The prefilter sends such rows to the scan, so a census meets them too, without warnings.
+        assert _candidate(zs, 10, 8)
+        assert numeric_relation_scan(zs, 10, 8) is None
+
 
 BASES = (2, 10, 16)
 HEIGHTS = st.integers(1, 10**6)
