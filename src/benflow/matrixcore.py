@@ -81,9 +81,14 @@ def _pade13_squared(a: np.ndarray, norm: float) -> np.ndarray:
     (capped at ||A||_1, which bounds every d_k, for powers that overflow),
     s is the least s >= 0 with 2^-s eta <= theta_13, plus the extra
     squarings `_extra_squarings` finds for 2^-s A.  The approximant is
-    formed as I + 2 (V - U)^-1 U, so a zero A gives I exactly.
+    formed as I + 2 (V - U)^-1 U.  When A^2 = 0 exactly, e^A = I + A is
+    returned as such: |A|^27 need not vanish there (A = t [[1, 1], [-1, -1]]),
+    so the extra squarings would square rounding errors up, and V - U =
+    I - A/2 is singular to working precision once ||A|| passes about 1e8.
     """
     a2 = a @ a
+    if _square_vanishes(a, a2):
+        return np.eye(a.shape[0]) + a
     a4 = a2 @ a2
     a8 = a4 @ a4
     d6, d8, d10 = (_onenorm(p) ** (1.0 / k) for k, p in ((6, a4 @ a2), (8, a8), (10, a8 @ a2)))
@@ -102,6 +107,21 @@ def _pade13_squared(a: np.ndarray, norm: float) -> np.ndarray:
     for _ in range(s):
         result = result @ result
     return result
+
+
+def _square_vanishes(a: np.ndarray, a2: np.ndarray) -> bool:
+    """Whether A^2 = 0 exactly, given a2 = A @ A in floating point.
+
+    Each entry of a2 lies within d u (|A| |A|) of the exact one, whatever
+    the summation order (u = 2^-53), so only when every entry is within
+    twice that is the exact square formed, in rationals on the stored
+    entries.
+    """
+    d = a.shape[0]
+    if np.any(np.abs(a2) > d * 2.0**-52 * (np.abs(a) @ np.abs(a))):
+        return False
+    e = [[Fraction(x) for x in row] for row in a.tolist()]
+    return not any(sum(e[i][j] * e[j][k] for j in range(d)) for i in range(d) for k in range(d))
 
 
 def _extra_squarings(a: np.ndarray) -> int:

@@ -102,15 +102,19 @@ _BELOW_ONE = math.nextafter(1.0, 0.0)
 SLICE = 1 << 15
 
 
-def fractions_into(logb: np.ndarray, out: np.ndarray) -> np.ndarray:
+def fractions_into(logb: np.ndarray, out: np.ndarray, floors: np.ndarray | None = None) -> np.ndarray:
     """Write the fractional parts u in [0, 1) of log_b values into `out`
-    (an array of the same shape, not `logb` itself), unsorted, and return it.
+    (an array of the same shape), unsorted, and return it.
 
-    For a tiny negative log, l - floor(l) rounds to exactly 1.0; u is
-    clipped to the largest float below 1, which puts it in digit b - 1.
+    The floors of the logs go into `floors` (default `out`): `out` may be
+    `logb` itself, or overlap it, only when a separate `floors` array of
+    the same shape is given.  For a tiny negative log, l - floor(l)
+    rounds to exactly 1.0; u is clipped to the largest float below 1,
+    which puts it in digit b - 1.
     """
-    np.floor(logb, out=out)
-    np.subtract(logb, out, out=out)
+    floors = out if floors is None else floors
+    np.floor(logb, out=floors)
+    np.subtract(logb, floors, out=out)
     np.minimum(out, _BELOW_ONE, out=out)
     return out
 

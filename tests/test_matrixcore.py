@@ -62,6 +62,15 @@ class TestExpm:
         result = expm(np.array([[0.0, 1e304], [0.0, 0.0]]), 5.0)
         assert np.array_equal(result, np.array([[1.0, 5e304], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("t", [1e6, 1e8, 1e10, 3.3e11, 1e12, -1e12])
+    def test_nilpotent_whose_square_cancels_is_exact(self, t):
+        # A^2 = 0 exactly, yet |A|^27 does not vanish, so the extra squarings of
+        # Al-Mohy and Higham would square rounding errors up (1e127 off at t = 1e10,
+        # an overflow at 1e12); at t = 3.3e11 a fused multiply-add leaves a
+        # rounding residue in the computed A @ A, so the exact test decides
+        a = np.array([[1.0, 1.0], [-1.0, -1.0]])
+        assert np.array_equal(expm(a, t), np.eye(2) + t * a)
+
     @pytest.mark.parametrize("d", range(1, 7))
     def test_matches_60_digit_reference(self, d):
         # Gaussian generators (k = 1) and S J S^-1 with one k x k Jordan block in J

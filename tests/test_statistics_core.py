@@ -8,7 +8,9 @@ values sitting exactly on a digit edge, against the exact scalar
 `first_digit`; and, bit for bit, against the same statistics taken over
 whole arrays (also copied below), at the edges of the SLICE-sample
 passes the core makes, with allocation bounds that only a sliced core
-meets.
+meets.  The exclusion, which keeps whole blocks under a proven bound,
+is checked bit for bit against the per-sample rule run one sample at a
+time.
 """
 import math
 import tracemalloc
@@ -16,10 +18,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from benflow import flowsignal
 from benflow.config import RunConfig
 from benflow.demos import ex_3_5_log_fixtures, frobenius_example_generator
 from benflow.errors import UsageError
 from benflow.flowsignal import (
+    _BLOCK,
     NormOnFlow,
     Observable,
     ObservableOnFlow,
@@ -428,3 +432,129 @@ def test_verdict_and_sampler_allocate_no_grid_long_temporaries():
         assert logb.size == grid.count, label
         assert sampling_peak - logb.nbytes <= 12 * 2**20, label
         assert verdict_peak <= 4 * 2**20, label
+
+
+# ---------------------------------------------------------------------------
+# the block-bound exclusion against the per-sample rule, bit for bit
+
+
+def per_sample_keep(logb: np.ndarray, b: int) -> np.ndarray:
+    """The exclusion rule one sample at a time: a finite sample is kept when
+    it is at least the running max of the finite samples so far plus the
+    cutoff log_b(zero_rel)."""
+    cutoff = math.log(CONFIG.thresholds.zero_rel) / math.log(b)
+    keep = np.zeros(logb.size, dtype=bool)
+    peak = -math.inf
+    for i, x in enumerate(logb.tolist()):
+        if math.isfinite(x):
+            peak = max(peak, x)
+            keep[i] = x >= peak + cutoff
+    return keep
+
+
+@pytest.fixture
+def scanned(monkeypatch):
+    """The sizes of the sample arrays the per-sample rule is run on."""
+    sizes = []
+    rule = flowsignal._running_max_keep
+
+    def spy(part, seed, cutoff):
+        sizes.append(part.size)
+        return rule(part, seed, cutoff)
+
+    monkeypatch.setattr(flowsignal, "_running_max_keep", spy)
+    return sizes
+
+
+def assert_exclusion_matches(logb: np.ndarray, b: int = 10, raw: np.ndarray | None = None) -> int:
+    """Kept count and sorted u of a verdict equal those of the per-sample
+    rule; returns the kept count."""
+    keep = per_sample_keep(logb, b)
+    u = fractions_of_logs(logb[keep]) if raw is None else log_fractions(raw[keep], b)
+    work = logb.copy()
+    report = _verdict_from_logb(work, b, 1.0, 1.0, CONFIG, None, raw)
+    kept = report.sample_count - report.excluded_sample_count
+    assert kept == u.size
+    assert np.array_equal(work[:kept], u)
+    return kept
+
+
+def planted_trace(n: int, seed: int) -> np.ndarray:
+    """A growing log signal, whose blocks the bound can prove, with dips
+    below the cutoff and -inf samples planted at random, and NaN and +inf
+    samples at random in its first slice."""
+    rng = np.random.default_rng(seed)
+    logb = 1e-3 * np.arange(n) + rng.uniform(0.0, 3.0, n)
+    logb[rng.random(n) < 2e-4] -= 20.0
+    logb[rng.integers(0, n, 6)] = -np.inf
+    for value, count in ((np.nan, 3), (np.inf, 2)):
+        logb[rng.integers(0, min(n, SLICE), count)] = value
+    return logb
+
+
+@pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK + 1, SLICE + 1, 2 * SLICE + 777])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_planted_non_finite_samples_match_per_sample_rule(n, seed, scanned):
+    logb = planted_trace(n, seed)
+    assert 0 < assert_exclusion_matches(logb) < n
+    assert sum(scanned) > 0
+    if n > SLICE:
+        assert sum(scanned) < n  # whole blocks were kept under the bound
+
+
+@pytest.mark.parametrize("ulps", [-1, 0, 1])
+@pytest.mark.parametrize("base", ["flat", "growing"])
+def test_dips_at_the_cutoff_and_one_ulp_either_side(ulps, base, scanned):
+    # a dip sits exactly at the running max plus the cutoff (kept), or one ulp
+    # below it (excluded) or above it; on a flat signal the running max is the
+    # block bound, so a dip one ulp above leaves its block proven
+    n = 2 * SLICE + 3 * _BLOCK + 5
+    cutoff = math.log(CONFIG.thresholds.zero_rel) / math.log(10)
+    logb = np.full(n, 40.0) if base == "flat" else 40.0 + 1e-3 * np.arange(n)
+    at = np.random.default_rng(7).choice(np.arange(1, n, 2), 40, replace=False)  # no two adjacent
+    edge = logb[at - 1] + cutoff
+    logb[at] = edge if ulps == 0 else np.nextafter(edge, ulps * np.inf)
+    kept = assert_exclusion_matches(logb)
+    assert kept == n - (40 if ulps < 0 else 0)
+    if base == "flat" and ulps > 0:
+        assert not scanned
+    else:
+        assert 0 < sum(scanned) < n
+
+
+def test_compaction_after_early_exclusions(scanned):
+    # exact zeros in the first blocks, then 100 samples below the cutoff, put
+    # every later slice's fractions over its own samples, shifted.  The third
+    # slice holds exact zeros, so its blocks are kept whole or scanned from
+    # the bound before them, and its last sample is a peak that the fourth
+    # slice's first 999 samples lie below by more than the cutoff
+    n = 4 * SLICE + 321
+    logb = 1000.0 + 1e-3 * np.arange(n)
+    logb[: 2 * _BLOCK + 1] = -np.inf
+    logb[2 * _BLOCK + 2 : 2 * _BLOCK + 102] = 500.0
+    logb[2 * SLICE + 5 * _BLOCK + 3 : 3 * SLICE : 7 * _BLOCK] = -np.inf
+    logb[3 * SLICE - 1] += 14.0
+    zeros = int(np.isinf(logb).sum())
+    assert assert_exclusion_matches(logb) == n - zeros - 100 - 999
+    assert 0 < sum(scanned) < SLICE
+
+
+def test_peak_of_a_slice_kept_whole_carries_over(scanned):
+    # the first slice is kept whole; its max excludes the whole next slice
+    logb = np.concatenate([np.full(SLICE, 100.0), np.full(SLICE, 80.0), np.full(5, 95.0)])
+    assert assert_exclusion_matches(logb) == SLICE + 5
+    assert sum(scanned) == SLICE
+
+
+@pytest.mark.parametrize("b", [2, 10])
+def test_raw_values_match_per_sample_rule(b, scanned):
+    rng = np.random.default_rng(b)
+    n = 2 * SLICE + 555
+    raw = rng.choice([-1.0, 1.0], n) * np.exp(1e-3 * np.arange(n)) * rng.uniform(1.0, 10.0, n)
+    raw[: len(edge_values(b))] = edge_values(b)
+    raw[rng.integers(0, n, 5)] = 0.0
+    raw[rng.integers(0, n, 5)] *= 1e-15  # below zero_rel times the running max
+    with np.errstate(divide="ignore"):
+        logb = np.log(np.abs(raw)) / math.log(b)
+    assert 0 < assert_exclusion_matches(logb, b, raw) < n
+    assert 0 < sum(scanned) < n
