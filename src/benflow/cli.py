@@ -20,25 +20,28 @@ from pathlib import Path
 from . import __version__
 from .config import RunConfig
 from .dataio import emit_report, load_config, load_matrix, load_signal_csv, parse_exact_spectrum, write_table
-from .demos import EXAMPLE_IDS, run_example
 from .errors import BenflowError, SignalOverflowError, UsageError
-from .flowsignal import (
-    NormOnFlow,
-    Observable,
-    ObservableOnFlow,
-    Synthetic,
-    benford_report_from_samples,
-    benford_verdict,
-)
-from .genericity import EnsembleSpec, resonance_census
 from .matrixcore import SpectrumInfo, is_hyperbolic, spectrum
 from .resonance import is_exp_b_nonresonant, is_exp_nonresonant_algebraic
 from .significand import digit_law_pmf
+
+# The sampler (flowsignal), the census (genericity) and the examples
+# (demos) are imported by the commands that run them, so analyze-matrix
+# loads none of them; analyze's own callees stay module attributes here.
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_EXPECTATION = 4
+
+
+class _ExampleIds:
+    """Prints as the example ids, read from demos only when help is printed."""
+
+    def __str__(self) -> str:
+        from .demos import EXAMPLE_IDS
+
+        return ", ".join(EXAMPLE_IDS)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -79,7 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_benford.set_defaults(run=_cmd_benford)
 
     p_example = sub.add_parser("example", help="run a scripted demonstration scenario")
-    p_example.add_argument("id", help=f"one of: {', '.join(EXAMPLE_IDS)}")
+    # a required positional never takes its default: it only formats the ids into the help
+    p_example.add_argument("id", default=_ExampleIds(), help="one of: %(default)s")
     p_example.set_defaults(run=_cmd_example)
 
     p_census = sub.add_parser("census", help="random-matrix resonance census")
@@ -182,6 +186,8 @@ def _parse_synthetic(text: str) -> Synthetic:
     Each key at most once, in any order; an omitted key defaults to r=0,
     k=0, modes=0:1.  A part without '=' continues the modes list.
     """
+    from .flowsignal import Synthetic
+
     fields: dict[str, str] = {}
     key = None
     for part in text.split(","):
@@ -208,6 +214,8 @@ def _parse_synthetic(text: str) -> Synthetic:
 
 
 def _cmd_benford(args, cfg: RunConfig) -> int:
+    from .flowsignal import NormOnFlow, Observable, ObservableOnFlow, benford_report_from_samples, benford_verdict
+
     if args.matrix is None and (args.observable or args.norm):
         raise UsageError("--observable and --norm apply only to --matrix")
     if args.signal_csv:
@@ -243,12 +251,16 @@ def _cmd_benford(args, cfg: RunConfig) -> int:
 
 
 def _cmd_example(args, cfg: RunConfig) -> int:
+    from .demos import run_example
+
     result = run_example(args.id, cfg)
     emit_report(result.to_dict(), cfg.output_format, args.out)
     return EXIT_OK if result.passed else EXIT_EXPECTATION
 
 
 def _cmd_census(args, cfg: RunConfig) -> int:
+    from .genericity import EnsembleSpec, resonance_census
+
     spec = EnsembleSpec(d=args.dim, distribution=args.dist, N=args.n, seed=cfg.seed)
     report = resonance_census(spec, cfg.base, args.tol, args.height)
     d = report.to_dict()

@@ -11,10 +11,13 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING
 
 from .errors import UsageError
 from .significand import validate_base
-from .udmod1 import SamplingGrid
+
+if TYPE_CHECKING:
+    from .udmod1 import SamplingGrid
 
 
 @dataclass(frozen=True)
@@ -100,5 +103,7 @@ class RunConfig:
     @property
     def grid(self) -> SamplingGrid:
         """The uniform grid (0, horizon] at the configured step."""
+        from .udmod1 import SamplingGrid  # only a sampling run loads udmod1
+
         return SamplingGrid(T=self.horizon, step=self.step)
 

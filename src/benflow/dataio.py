@@ -31,7 +31,6 @@ to rationals written as integers or "p/q" strings.
 """
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
@@ -140,6 +139,8 @@ def load_matrix(path: str | Path) -> tuple[np.ndarray, dict | None]:
             raise UsageError(f"{path}: matrix entries must be numbers") from None
         _check_square(matrix, path)
         return matrix, annotation
+    import csv  # like every use of csv here: JSON-only runs never load it
+
     rows = []
     for lineno, row in enumerate(csv.reader(text.splitlines()), start=1):
         if not row or all(not c.strip() for c in row):
@@ -162,6 +163,8 @@ def _check_square(matrix: np.ndarray, path) -> None:
 
 def load_signal_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read a two-column (t, value) CSV; a single header row is tolerated."""
+    import csv
+
     times, values = [], []
     with open(path, newline="", encoding="utf-8") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
@@ -216,6 +219,8 @@ Table = tuple[list[str], list[list]]  # (header, rows)
 
 
 def _csv_text(table: Table) -> str:
+    import csv
+
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows([table[0], *table[1]])
     return buf.getvalue()

@@ -30,7 +30,9 @@ synthetic one included, is one loop over `SamplingGrid.passes()` (the
 grid times of SLICE samples at a time), writing |shifted signal| into
 its part of the output and turning it into log_b|f| there
 (`_log_tail`): no other grid-long array.  A synthetic's shifted signal
-is its mode sum, and k log_b t is added after `_log_tail`.
+is its mode sum, and k log_b t is added after `_log_tail`.  Every
+sampler cuts its output at the first time from which |r t / ln b| leaves
+no log sample a fractional bit, and reports that time as truncated.
 
 For a diagonalizable generator the shifted flow is a sum of mode
 factors e^{(lambda - r)t}, one per conjugate pair or real eigenvalue,
@@ -331,32 +333,42 @@ def _eigen_logb(modes: _FlowModes, weights: np.ndarray, grid: SamplingGrid, b: i
     for lo, t in grid.passes():
         folded = weights[:, None, :] * np.exp(np.outer(t[::_TABLE], modes.mu))
         sums = (folded.view(np.float64).reshape(-1, table.shape[1]) @ table.T).reshape(*folded.shape[:2], _TABLE)
-        part = out[lo : lo + t.size]
-        np.abs(functional(sums).ravel()[: t.size], out=part)
-        _log_tail(part, t, modes.r, b)
+        np.abs(functional(sums).ravel()[: t.size], out=out[lo : lo + t.size])
+        count = _log_tail(out, lo, t, modes.r, b)
+        if count < t.size:
+            return _LogSample(out[: lo + count], truncated_at=float(t[count]))
     return _LogSample(out)
 
 
-def _log_tail(part: np.ndarray, t: np.ndarray, r: float, b: int) -> None:
-    """Turn `part`, |shifted signal| at the grid times t, into
-    log_b|f| = log|shifted| / ln b + r t / ln b in place.
+def _log_tail(out: np.ndarray, lo: int, t: np.ndarray, r: float, b: int) -> int:
+    """Turn out[lo : lo + t.size], |shifted signal| at the grid times t,
+    into log_b|f| = log|shifted| / ln b + r t / ln b in place, up to the
+    first time with |r| t / ln b >= _NO_FRACTION, and return how many
+    samples that is: the sampler cuts its output there and reports that
+    time as `truncated_at`.
 
     |log|shifted|| / ln b is at most 1075 (a finite positive double lies
-    in e^(+-745)), so once |r| t / ln b reaches _NO_FRACTION at the first
-    time of a pass, every log sample of the pass is 2^52 or more, where a
-    double has no fractional bit: that is a usage error, decided once per
-    pass from r and t[0] (t ascends from t[0] > 0).
+    in e^(+-745)), so from that time on every log sample is 2^52 or more,
+    where a double has no fractional bit.  t ascends, so the pass's last
+    time decides whether the pass is cut.  A grid cut at its first time
+    keeps nothing to judge: that is a usage error.
     """
     lnb = math.log(b)
-    if t.size and abs(r) * t[0] >= _NO_FRACTION * lnb:
-        raise UsageError(
-            f"r = {r} puts every |log_b f| from t = {t[0]} on at 2^52 or more, "
-            "where no fractional bit (no significand) is left"
-        )
+    limit = _NO_FRACTION * lnb
+    count = t.size
+    if count and abs(r) * t[-1] >= limit:
+        count = int(np.argmax(abs(r) * t >= limit))
+        if lo + count == 0:
+            raise UsageError(
+                f"r = {r} puts every |log_b f| from t = {t[0]} on at 2^52 or more, "
+                "where no fractional bit (no significand) is left"
+            )
+    part = out[lo : lo + count]
     with np.errstate(divide="ignore"):
         np.log(part, out=part)
     part /= lnb
-    part += t * (r / lnb)
+    part += t[:count] * (r / lnb)
+    return count
 
 
 def _logb_flow(flow: ObservableOnFlow | NormOnFlow, grid: SamplingGrid, b: int) -> _LogSample:
@@ -456,9 +468,8 @@ def _stepping_logb(a: np.ndarray, r: float, grid: SamplingGrid, b: int, function
             entries = prod.reshape(nblocks, d, _POWERS, d).transpose(1, 3, 0, 2).reshape(d * d, -1)[:, : t.size]
             bad = ~np.isfinite(entries).all(axis=0)
             count = int(np.argmax(bad)) if bad.any() else t.size
-            part = out[lo : lo + count]
-            np.abs(functional(entries[:, :count]), out=part)
-            _log_tail(part, t[:count], r, b)
+            np.abs(functional(entries[:, :count]), out=out[lo : lo + count])
+            count = _log_tail(out, lo, t[:count], r, b)
             if count < t.size:
                 return _LogSample(out[: lo + count], truncated_at=float(t[count]))
     return _LogSample(out)
@@ -467,10 +478,11 @@ def _stepping_logb(a: np.ndarray, r: float, grid: SamplingGrid, b: int, function
 def _logb_synthetic(spec: Synthetic, grid: SamplingGrid, b: int) -> _LogSample:
     out = grid.empty()
     for lo, t in grid.passes():
-        part = out[lo : lo + t.size]
-        np.abs(sum(u * np.cos(omega * t) for omega, u in spec.modes), out=part)
-        _log_tail(part, t, spec.r, b)
-        part += np.log(t) * (spec.k / math.log(b))
+        np.abs(sum(u * np.cos(omega * t) for omega, u in spec.modes), out=out[lo : lo + t.size])
+        count = _log_tail(out, lo, t, spec.r, b)
+        out[lo : lo + count] += np.log(t[:count]) * (spec.k / math.log(b))
+        if count < t.size:
+            return _LogSample(out[: lo + count], truncated_at=float(t[count]))
     return _LogSample(out)
 
 

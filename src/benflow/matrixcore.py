@@ -16,7 +16,6 @@ import numpy as np
 
 from .config import Tolerances
 from .errors import DomainError, NumericalError, SignalOverflowError, UsageError
-from .resonance import is_exp_nonresonant_algebraic
 
 _DEFAULT_TOL = Tolerances()
 _RANK_TOL = 1e-10  # relative singular-value cutoff of the rank drops behind Jordan indices
@@ -81,14 +80,16 @@ def _pade13_squared(a: np.ndarray, norm: float) -> np.ndarray:
     (capped at ||A||_1, which bounds every d_k, for powers that overflow),
     s is the least s >= 0 with 2^-s eta <= theta_13, plus the extra
     squarings `_extra_squarings` finds for 2^-s A.  The approximant is
-    formed as I + 2 (V - U)^-1 U.  When A^2 = 0 exactly, e^A = I + A is
-    returned as such: |A|^27 need not vanish there (A = t [[1, 1], [-1, -1]]),
-    so the extra squarings would square rounding errors up, and V - U =
-    I - A/2 is singular to working precision once ||A|| passes about 1e8.
+    formed as I + 2 (V - U)^-1 U.  When A is nilpotent, e^A is the finite
+    sum `_nilpotent_exp` returns: |A|^27 need not vanish there (A = t [[1, 1],
+    [-1, -1]]), so the extra squarings would square rounding errors up, and
+    V - U is singular to working precision once ||A|| is large (I - A/2 when
+    A^2 = 0, from about 1e8 on).
     """
     a2 = a @ a
-    if _square_vanishes(a, a2):
-        return np.eye(a.shape[0]) + a
+    exact = _nilpotent_exp(a, a2)
+    if exact is not None:
+        return exact
     a4 = a2 @ a2
     a8 = a4 @ a4
     d6, d8, d10 = (_onenorm(p) ** (1.0 / k) for k, p in ((6, a4 @ a2), (8, a8), (10, a8 @ a2)))
@@ -109,19 +110,34 @@ def _pade13_squared(a: np.ndarray, norm: float) -> np.ndarray:
     return result
 
 
-def _square_vanishes(a: np.ndarray, a2: np.ndarray) -> bool:
-    """Whether A^2 = 0 exactly, given a2 = A @ A in floating point.
+def _nilpotent_exp(a: np.ndarray, a2: np.ndarray) -> np.ndarray | None:
+    """e^A = I + A + ... + A^(k-1) / (k-1)!, rounded once from rationals,
+    when A^k = 0 exactly for some k (then k <= d); None otherwise.
 
-    Each entry of a2 lies within d u (|A| |A|) of the exact one, whatever
-    the summation order (u = 2^-53), so only when every entry is within
-    twice that is the exact square formed, in rationals on the stored
-    entries.
+    Given a2 = A @ A in floating point, A^d is formed by d - 2 more
+    products, and each of its entries lies within (d - 1) d u (|A|^d) of
+    the exact one, whatever the summation order (u = 2^-53).  Only when
+    every entry is within twice that are the exact powers of the stored
+    entries formed, in rationals, up to the first that vanishes.
     """
-    d = a.shape[0]
-    if np.any(np.abs(a2) > d * 2.0**-52 * (np.abs(a) @ np.abs(a))):
-        return False
+    d, abs_a = a.shape[0], np.abs(a)
+    power, bound = a2, abs_a @ abs_a
+    for _ in range(d - 2):
+        power, bound = power @ a, bound @ abs_a
+    if np.any(np.abs(power) > (d - 1) * d * 2.0**-52 * bound):
+        return None
     e = [[Fraction(x) for x in row] for row in a.tolist()]
-    return not any(sum(e[i][j] * e[j][k] for j in range(d)) for i in range(d) for k in range(d))
+    term = [[Fraction(int(i == k)) for k in range(d)] for i in range(d)]
+    total = term
+    for j in range(1, d + 1):
+        term = [[sum(row[l] * e[l][k] for l in range(d)) / j for k in range(d)] for row in term]
+        if not any(map(any, term)):
+            try:
+                return np.array(total, dtype=float)
+            except OverflowError:  # e^A leaves the float range: expm reports it
+                return np.full((d, d), math.inf)
+        total = [[x + y for x, y in zip(r, q)] for r, q in zip(total, term)]
+    return None
 
 
 def _extra_squarings(a: np.ndarray) -> int:
@@ -307,6 +323,8 @@ def is_hyperbolic(info: SpectrumInfo, tol: float = _DEFAULT_TOL.hyperbolicity) -
     """The algebraic shortcut on the points of `info` (a `spectrum` result, clustered
     at the caller's gap): True when none is within tol of the imaginary axis, so a
     double 0 that eig splits but the clustering merges counts as on the axis."""
+    from .resonance import is_exp_nonresonant_algebraic  # deferred: the sampler loads this module, never resonance
+
     return is_exp_nonresonant_algebraic([p.z for p in info.points], tol)
 
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import mpmath
 import numpy as np
 
 from .errors import UsageError
@@ -293,9 +292,6 @@ class IntegerRelation:
 _RESIDUAL_TOL = 1e-9
 _GROUP_TOL = 1e-9  # relative gap in Re under which numeric_relation_scan groups elements
 _MAX_HEIGHT = 10**6  # 2^-52 * height stays under _RESIDUAL_TOL, which _relation_candidates needs
-# PSLQ acceptance on the scale-normalised values: a relation among float
-# inputs holds only to about 1e-16, never to mpmath's default 2^(-0.75 prec)
-_PSLQ_TOL = mpmath.mpf(2) ** -40
 
 
 def _rational_fit(ratio: float, height: int) -> tuple[int, int] | None:
@@ -310,18 +306,28 @@ def _rational_fit(ratio: float, height: int) -> tuple[int, int] | None:
     return frac.numerator, frac.denominator
 
 
-def _pslq_relation(values: list[mpmath.mpf], height: int) -> list[int] | None:
-    """An integer relation among the values with every |coeff| <= height.
+def _pslq_relation(values: list[float], height: int) -> list[int] | None:
+    """An integer relation among the values with every |coeff| <= height,
+    by PSLQ at 50 digits.
 
     mpmath gives up once its lower bound on the Euclidean norm of any
     relation reaches maxcoeff, so it gets height * sqrt(n), above the norm
     of every relation that fits, and the height itself is checked here.
+    The acceptance tolerance is 2^-40 on the scale-normalised values: a
+    relation among float inputs holds only to about 1e-16, never to
+    mpmath's default 2^(-0.75 prec).  mpmath is imported here, the one
+    place that runs it.
     """
+    import mpmath
+
     maxcoeff = math.ceil(height * math.sqrt(len(values)))
-    try:
-        rel = mpmath.pslq(values, tol=_PSLQ_TOL, maxcoeff=maxcoeff, maxsteps=10000)
-    except ValueError:
-        return None
+    with mpmath.workdps(50):
+        try:
+            rel = mpmath.pslq(
+                [mpmath.mpf(v) for v in values], tol=mpmath.mpf(2) ** -40, maxcoeff=maxcoeff, maxsteps=10000
+            )
+        except ValueError:
+            return None
     return list(rel) if rel is not None and max(map(abs, rel)) <= height else None
 
 
@@ -400,8 +406,7 @@ def _scan_group(re: float, gens: list[float], height: int) -> tuple[int, list[in
         p, q = fit
         return q, [p]
     # a PSLQ relation among the generators alone: drop its largest generator and retry
-    with mpmath.workdps(50):
-        rel = _pslq_relation([mpmath.mpf(re)] + [mpmath.mpf(g) for g in gens], height)
+    rel = _pslq_relation([re, *gens], height)
     if rel is None:
         return None
     if rel[0] == 0:

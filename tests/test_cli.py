@@ -350,6 +350,14 @@ class TestBenfordCommand:
         assert out == ""
         assert err.startswith("error: ") and "2^52" in err and "Traceback" not in err
 
+    def test_no_fractional_bit_mid_grid_exit_3(self, capsys):
+        # log_b e^{1.05e12 t} reaches 2^52 at t = 9876.12: the grid is cut there, a partial report
+        code, out, err = run_cli(capsys, "benford", "--synthetic", "r=1.05e12")
+        assert code == EXIT_NUMERIC
+        assert err == ""
+        report = json.loads(out)
+        assert (report["truncated_at"], report["sample_count"]) == (9876.12, 987_611)
+
     def test_unallocatable_sample_count_exit_2(self, capsys):
         # 1e17 samples on the default step: refused at once, nothing is allocated
         code, out, err = run_cli(capsys, "--horizon", "1e15", "benford", "--synthetic", "r=1")

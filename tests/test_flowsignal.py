@@ -198,37 +198,69 @@ class TestBuildObservable:
 
 class TestNoFractionalBit:
     # from |r t / ln b| = 2^52 + 2^11 on, every log sample is 2^52 or more
-    # whatever the shifted signal, and a double that large has no fraction
+    # whatever the shifted signal, and a double that large has no fraction:
+    # every sampler cuts the grid at the first such time
     GRID = SamplingGrid(T=2.0, step=0.01)
 
     @staticmethod
     def _bound(b, t0=0.01):
         return (2.0**52 + 2.0**11) * math.log(b) / t0
 
+    @staticmethod
+    def _specs(r):
+        # synthetic, eigen path, stepping path (a Jordan block)
+        return (
+            Synthetic(r=r, k=0, modes=((0.0, 1.0),)),
+            ObservableOnFlow(np.array([[r]]), Observable(np.array([[1.0]]))),
+            ObservableOnFlow(np.array([[r, r], [0.0, r]]), Observable(np.array([[1.0, 0.0], [0.0, 0.0]]))),
+        )
+
     @pytest.mark.parametrize("b", [2, 10, 16])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_just_past_the_bound_is_a_usage_error(self, b, sign):
+        # past the bound at the grid's first time: nothing is left to judge
         r = sign * self._bound(b) * (1 + 1e-9)
-        for spec in (Synthetic(r=r, k=0, modes=((0.0, 1.0),)), ObservableOnFlow(np.array([[r]]), Observable(np.array([[1.0]])))):
+        for spec in self._specs(r):
             with pytest.raises(UsageError, match="2\\^52"):
                 sample_log_signal(spec, self.GRID, b)
 
     @pytest.mark.parametrize("b", [2, 10, 16])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_just_inside_the_bound_is_sampled(self, b, sign):
-        r = sign * self._bound(b) * (1 - 1e-9)
-        logs = sample_log_signal(Synthetic(r=r, k=0, modes=((0.0, 1.0),)), self.GRID, b).values
-        assert logs.size == self.GRID.count and np.isfinite(logs).all()
+        # inside the bound at the grid's last time: the whole grid is sampled
+        r = sign * self._bound(b, t0=self.GRID.T) * (1 - 1e-9)
+        for spec in self._specs(r):
+            sample = sample_log_signal(spec, self.GRID, b)
+            assert sample.truncated_at is None
+            assert sample.values.size == self.GRID.count and np.isfinite(sample.values).all()
         # further inside, the log samples carry fractional bits
         logs = sample_log_signal(Synthetic(r=sign * self._bound(b) * 1e-6 * math.pi, k=0, modes=((0.0, 1.0),)), self.GRID, b).values
         assert (logs[:50] != np.round(logs[:50])).any()
+
+    @pytest.mark.parametrize("b", [2, 10, 16])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_just_past_the_bound_at_the_last_time_is_cut(self, b, sign):
+        r = sign * self._bound(b, t0=self.GRID.T) * (1 + 1e-9)
+        for spec in self._specs(r):
+            sample = sample_log_signal(spec, self.GRID, b)
+            assert sample.truncated_at == self.GRID.T
+            assert sample.values.size == self.GRID.count - 1 and np.isfinite(sample.values).all()
 
     def test_a_pass_past_the_bound_names_its_first_time(self):
         # the first pass keeps its fractions, the second (from t = SLICE + 1) has none
         grid = SamplingGrid(T=float(SLICE + 100), step=1.0)
         r = self._bound(10, t0=SLICE + 1)
-        with pytest.raises(UsageError, match=f"from t = {float(SLICE + 1)} on"):
-            sample_log_signal(Synthetic(r=r, k=0, modes=((0.0, 1.0),)), grid, 10)
+        sample = sample_log_signal(Synthetic(r=r, k=0, modes=((0.0, 1.0),)), grid, 10)
+        assert sample.truncated_at == float(SLICE + 1)
+        assert sample.values.size == SLICE
+
+    def test_a_verdict_past_the_bound_mid_pass_is_truncated(self):
+        # r = 1.05e12 crosses the bound at t = 9876.12, inside a pass of the default grid
+        report = benford_verdict(Synthetic(r=1.05e12, k=0, modes=((0.0, 1.0),)), config=RunConfig())
+        t = report.truncated_at
+        assert t == 9876.12
+        assert report.sample_count == 987_611
+        assert 1.05e12 * (t - 0.01) < (2.0**52 + 2.0**11) * LN10 <= 1.05e12 * t
 
 
 class TestVerdicts:

@@ -71,6 +71,14 @@ class TestExpm:
         a = np.array([[1.0, 1.0], [-1.0, -1.0]])
         assert np.array_equal(expm(a, t), np.eye(2) + t * a)
 
+    @pytest.mark.parametrize("t", [1e2, 1e4, 1e6])
+    def test_nilpotent_of_index_3_is_the_closed_form(self, t):
+        # A^3 = 0 but A^2 != 0, so e^{tA} = I + tA + t^2 A^2 / 2 (integers here); the
+        # Pade route was 7.8e-11 off at t = 1e2, 194 off at 1e4 and overflowed at 1e6
+        a = np.array([[-1.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, -1.0, 1.0]])
+        assert not (a @ a == 0).all() and (a @ a @ a == 0).all()
+        assert np.array_equal(expm(a, t), np.eye(3) + t * a + t * t * (a @ a) / 2)
+
     @pytest.mark.parametrize("d", range(1, 7))
     def test_matches_60_digit_reference(self, d):
         # Gaussian generators (k = 1) and S J S^-1 with one k x k Jordan block in J
