@@ -57,22 +57,16 @@ _EXPORTS = {
     ),
     "significand": (
         "DigitHistogram",
-        "benford_cdf",
         "digit_frequencies",
         "digit_law_pmf",
-        "empirical_distance",
-        "first_digit",
         "significand",
     ),
     "udmod1": (
         "SamplingGrid",
         "TorusMapSpec",
         "WeylReport",
-        "cud_report",
-        "delta_sampling_check",
         "pushforward_fourier",
         "torus_map_apply",
-        "weyl_sum_sequence",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

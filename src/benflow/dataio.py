@@ -25,9 +25,9 @@ Annotation schema:
     }
 
 Symbols are monomial labels: atom names joined by '*', each optionally
-carrying an integer '^exponent'.  Stock atoms are "pi" and "ln<b>";
-anything else needs a value in "atoms".  Coordinates map symbol labels
-to rationals written as integers or "p/q" strings.
+carrying an integer '^exponent'.  Stock atoms are "pi" and "ln<n>" for
+n >= 2; anything else needs a nonzero value in "atoms".  Coordinates
+map symbol labels to rationals written as integers or "p/q" strings.
 """
 from __future__ import annotations
 
@@ -96,6 +96,8 @@ def parse_exact_spectrum(annotation: dict) -> list[ExactComplex]:
             value = declared.get(atom, stock_atom_value(atom))
             if value is None:
                 raise UsageError(f"atom {atom!r} needs a numeric value in 'atoms'")
+            if value == 0:
+                raise UsageError(f"atom {atom!r} has the value 0; an atom must be nonzero")
             atom_values[atom] = value
     basis = SymbolBasis(symbols=(ONE,), atom_values=tuple(sorted(atom_values.items())))
     basis = basis.extended(*monomials)
@@ -149,6 +151,8 @@ def load_matrix(path: str | Path) -> tuple[np.ndarray, dict | None]:
             rows.append([float(c) for c in row])
         except ValueError as exc:
             raise UsageError(f"{path}: line {lineno}: non-numeric entry ({exc})") from None
+        if len(row) != len(rows[0]):
+            raise UsageError(f"{path}: line {lineno}: {len(row)} entries, the first row has {len(rows[0])}")
     if not rows:
         raise UsageError(f"{path}: empty matrix file")
     matrix = np.asarray(rows, dtype=float)

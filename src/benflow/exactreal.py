@@ -78,9 +78,10 @@ def ln_atom(b: int) -> str:
 
 
 def stock_atom_value(atom: str) -> float | None:
-    """The value of a stock atom, "pi" or "ln<n>" for n >= 1; None otherwise."""
+    """The value of a stock atom, "pi" or "ln<n>" for n >= 2 spelled as
+    `ln_atom(n)` spells it; None otherwise (ln1 = 0 and ln010 are no atoms)."""
     n = atom[2:]
-    if atom == ln_atom(n) and n.isdigit() and int(n) > 0:
+    if n.isdigit() and int(n) >= 2 and atom == ln_atom(int(n)):
         return math.log(int(n))
     return math.pi if atom == "pi" else None
 

@@ -14,10 +14,10 @@ Sample statistics never form significands: S <= s exactly when the
 fractional part u of log_b|x| is at most log_b s, so the KS distance
 (`uniform_distance`), the digit counts (`digit_counts`) and the Weyl
 sums (`udmod1.WeylReport.from_sorted`, from power sums over cells of
-u) are all read off one sorted array of u, made and sorted once from
-log samples (`fractions_of_logs`) or raw values (`log_fractions`).
-Verdicts fill u slice by slice (`fractions_into`, `log_fractions_unsorted`)
-and sort it once; every loop over a grid-long array takes SLICE samples
+u) are all read off one sorted array of u.  Verdicts fill u slice by
+slice, from log samples (`fractions_into`) or raw values
+(`log_fractions_unsorted`), and sort it once; `log_fractions` does both
+for raw values.  Every loop over a grid-long array takes SLICE samples
 at a time.
 """
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -67,20 +67,6 @@ def significand(x: float, b: int = 10) -> float:
     return s
 
 
-def first_digit(x: float, b: int = 10) -> int:
-    """First significant digit of x in base b: floor(S_b(x)), 0 only for x = 0."""
-    s = significand(x, b)
-    return int(s)
-
-
-def benford_cdf(s: float, b: int = 10) -> float:
-    """The target law's CDF log_b(s) for s in [1, b)."""
-    b = validate_base(b)
-    if not (1 <= s < b):
-        raise DomainError(f"significand argument must lie in [1, {b}), got {s}")
-    return math.log(s) / math.log(b)
-
-
 def digit_law_pmf(b: int = 10) -> np.ndarray:
     """Probabilities of first digits 1..b-1 under the logarithmic law."""
     b = validate_base(b)
@@ -117,13 +103,6 @@ def fractions_into(logb: np.ndarray, out: np.ndarray, floors: np.ndarray | None 
     np.subtract(logb, floors, out=out)
     np.minimum(out, _BELOW_ONE, out=out)
     return out
-
-
-def fractions_of_logs(logb: np.ndarray) -> np.ndarray:
-    """Sorted fractional parts u in [0, 1) of log_b values (see `fractions_into`)."""
-    u = fractions_into(logb, np.empty(np.shape(logb)))
-    u.sort()
-    return u
 
 
 def _power_or_inf(b: int, j: int) -> float:
@@ -230,19 +209,3 @@ def digit_frequencies(samples: Iterable[float], b: int = 10) -> DigitHistogram:
     u = log_fractions(arr, b)
     zeros = int(np.count_nonzero(arr == 0.0))
     return DigitHistogram(base=b, counts=digit_counts(u, b), zeros=zeros, total=int(arr.size))
-
-
-def empirical_distance(samples: Sequence[float] | np.ndarray, b: int = 10) -> float:
-    """Sup-distance of the sample's significand ECDF from the log_b law.
-
-    Exact zeros are excluded (they belong to the histogram, not the
-    ECDF).  Raises UsageError when no nonzero sample remains.
-    """
-    b = validate_base(b)
-    arr = np.asarray(samples, dtype=float)
-    if arr.size == 0:
-        raise UsageError("empirical_distance requires a non-empty sample")
-    u = log_fractions(arr, b)
-    if u.size == 0:
-        raise UsageError("need at least one nonzero sample")
-    return uniform_distance(u)

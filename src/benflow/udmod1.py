@@ -5,17 +5,18 @@ when all its nonzero-frequency exponential-sum averages vanish in the
 limit; the reports here estimate those averages at frequencies 1..K
 and compare against a CLT-scale noise floor.
 
-`cud_report` forms no per-sample exponential.  It sorts the fractional
-parts u of the samples (verdicts hand over theirs, already sorted, to
-`WeylReport.from_sorted`) and splits [0, 1) into M = 4096 cells; as M
-is a power of two, each in-cell part delta = u M - floor(u M) in
-[0, 1) is exact.  One `searchsorted` finds the cell starts.  The cells
-are then taken in groups of whole cells holding about SLICE samples
-each (a cell with more is a group of its own), and within a group one
-`np.add.reduceat` per power over that group's delta gives the cell
-sums S_j(m) = sum delta^j, j = 0..J.  No cell is split across groups,
-so each sum adds the same samples in the same order as one reduceat
-over all of u would; only the temporaries shrink to cache size.  Then
+`sorted_weyl_sums` forms no per-sample exponential.  It takes the
+sorted fractional parts u of the samples (verdicts hand over theirs
+through `WeylReport.from_sorted`) and splits [0, 1) into M = 4096
+cells; as M is a power of two, each in-cell part delta = u M -
+floor(u M) in [0, 1) is exact.  One `searchsorted` finds the cell
+starts.  The cells are then taken in groups of whole cells holding
+about SLICE samples each (a cell with more is a group of its own), and
+within a group one `np.add.reduceat` per power over that group's delta
+gives the cell sums S_j(m) = sum delta^j, j = 0..J.  No cell is split
+across groups, so each sum adds the same samples in the same order as
+one reduceat over all of u would; only the temporaries shrink to cache
+size.  Then
     W_k = sum_m e^{2 pi i k m / M} sum_j (2 pi i k / M)^j / j! S_j(m),
 one DFT of each S_j.  The Taylor remainder per sample is at most
 (2 pi K / M)^(J+1) / (J+1)!, and J is the least order that keeps it
@@ -32,20 +33,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .significand import SLICE, fractions_of_logs
+from .significand import SLICE
 
 # below this, a cosine sum is treated as an exact zero (ln 0 := 0 convention)
 _LN_ZERO_GUARD = 1e-300
 _CELLS = 4096  # cells of [0, 1) in the Weyl-sum kernel (a power of two)
 _TAYLOR_TAIL = 1e-17  # largest Taylor remainder per sample in the kernel
-MIN_SAMPLES = 100  # fewest samples a grid, a Weyl report or a verdict's input may hold
-_CONTINUOUS_SAMPLES = 1e6  # grid points of delta_sampling_check's time average
-_FLAG_GAP = 0.1  # |discrete - continuous| Weyl sum gap that flags a delta
+MIN_SAMPLES = 100  # fewest samples a grid or a verdict's input may hold
 
 
 def _cos_2pi(x: np.ndarray) -> np.ndarray:
@@ -136,18 +135,6 @@ class WeylReport:
         return multiplier / math.sqrt(self.count)
 
 
-def weyl_sum_sequence(x: Sequence[float] | np.ndarray, k: int) -> complex:
-    """(1/N) sum of exp(2 pi i k x_n) over the sequence."""
-    if k == 0:
-        raise UsageError("frequency k must be nonzero")
-    arr = np.asarray(x, dtype=float)
-    if arr.size == 0:
-        raise UsageError("sequence must be non-empty")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("sequence values must be finite")
-    return complex(np.exp(2j * np.pi * k * arr).mean())
-
-
 def _kernel_shape(K: int) -> tuple[int, int]:
     """Cells M and Taylor order J for Weyl frequencies 1..K.
 
@@ -199,69 +186,6 @@ def sorted_weyl_sums(u: np.ndarray, K: int) -> np.ndarray:
         term *= z / j
         total += term * spectra[j]
     return total / n
-
-
-def cud_report(samples: Sequence[float] | np.ndarray, K: int) -> WeylReport:
-    """Weyl magnitudes of any finite samples at frequencies 1..K, read
-    off their sorted fractional parts by `sorted_weyl_sums`."""
-    if K < 1:
-        raise UsageError("K must be >= 1")
-    arr = np.asarray(samples, dtype=float)
-    if arr.size < MIN_SAMPLES:
-        raise UsageError(f"need at least {MIN_SAMPLES} samples for a meaningful report")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("samples must be finite")
-    return WeylReport.from_sorted(fractions_of_logs(arr), K)
-
-
-@dataclass(frozen=True)
-class DeltaComparison:
-    """Discrete Weyl sums along arithmetic subsequences vs the time average."""
-
-    deltas: tuple[float, ...]
-    discrete_sums: tuple[complex, ...]
-    continuous_sum: complex
-    flagged: tuple[bool, ...]
-    k: int
-
-    @property
-    def discrete_magnitudes(self) -> tuple[float, ...]:
-        return tuple(abs(s) for s in self.discrete_sums)
-
-    @property
-    def continuous_magnitude(self) -> float:
-        return abs(self.continuous_sum)
-
-
-def delta_sampling_check(
-    f: Callable[[np.ndarray], np.ndarray], T: float, deltas: Sequence[float], k: int = 1
-) -> DeltaComparison:
-    """Compare Weyl sums of (f(n*delta)) against the continuous estimate.
-
-    Sampling a function along an arithmetic progression preserves
-    uniform distribution mod 1 for almost every step; the countable
-    exceptional steps show up as discrete sums disagreeing with the time
-    average, the Riemann sum over `SamplingGrid(T, T /
-    _CONTINUOUS_SAMPLES)`.  A delta is flagged when its sum is more than
-    _FLAG_GAP from that average.  Each delta must yield at least
-    MIN_SAMPLES (100) samples in (0, T].
-    """
-    if k == 0:
-        raise UsageError("frequency k must be nonzero")
-    deltas = tuple(float(d) for d in deltas)
-    if not deltas or any(d <= 0 for d in deltas):
-        raise UsageError("delta list must be non-empty and positive")
-    if any(math.floor(T / d) < MIN_SAMPLES for d in deltas):
-        raise UsageError(f"every delta must yield at least {MIN_SAMPLES} samples in (0, T]")
-    sums = [weyl_sum_sequence(f(SamplingGrid(T, d).times()), k) for d in deltas]
-    continuous = weyl_sum_sequence(f(SamplingGrid(T, T / _CONTINUOUS_SAMPLES).times()), k)
-    return DeltaComparison(
-        deltas=deltas,
-        discrete_sums=tuple(sums),
-        continuous_sum=continuous,
-        flagged=tuple(abs(s - continuous) > _FLAG_GAP for s in sums),
-        k=k,
-    )
 
 
 @dataclass(frozen=True)
@@ -332,6 +256,7 @@ def pushforward_fourier(spec: TorusMap, k: int, grid_n: int = 1000) -> complex:
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
         values = torus_map_apply(spec, mesh)
     else:
-        x = (np.arange(grid_n) + 0.5) / grid_n
-        values = spec(x)
-    return weyl_sum_sequence(values, k)
+        values = np.asarray(spec((np.arange(grid_n) + 0.5) / grid_n), dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise DomainError("map values must be finite")
+    return complex(np.exp(2j * np.pi * k * values).mean())

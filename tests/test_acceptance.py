@@ -31,8 +31,9 @@ from benflow.flowsignal import (
 from benflow.genericity import EnsembleSpec, resonance_census
 from benflow.matrixcore import expm, jordan_index, spectrum
 from benflow.resonance import ShellPoint, is_b_nonresonant, is_exp_b_nonresonant
-from benflow.significand import benford_cdf, digit_frequencies, digit_law_pmf, empirical_distance
-from benflow.udmod1 import SamplingGrid, delta_sampling_check, pushforward_fourier
+from benflow.significand import digit_frequencies, digit_law_pmf, log_fractions, uniform_distance
+from benflow.udmod1 import SamplingGrid, pushforward_fourier
+from helpers import FLAG_GAP, subsequence_weyl_averages
 
 LN10 = math.log(10)
 DEFAULTS = RunConfig()
@@ -45,9 +46,11 @@ def report_pass(number: int, name: str, **stats):
 
 
 def test_criterion_1_digit_law_constants():
-    assert abs(benford_cdf(2, 10) - 0.3010299957) < 1e-9
-    assert abs((1.0 - benford_cdf(9, 10)) - 0.0457574906) < 1e-9
-    report_pass(1, "digit-law constants", log10_2=benford_cdf(2, 10))
+    # P(digit 1) = log10 2 and P(digit 9) = 1 - log10 9
+    pmf = digit_law_pmf(10)
+    assert abs(pmf[0] - 0.3010299957) < 1e-9
+    assert abs(pmf[8] - 0.0457574906) < 1e-9
+    report_pass(1, "digit-law constants", log10_2=pmf[0])
 
 
 def test_criterion_2_exponential_digit_bound():
@@ -170,7 +173,7 @@ def test_criterion_6_flow_laws():
 def test_criterion_7_diaconis_equivalence():
     rng = np.random.default_rng(99)
     samples = rng.lognormal(0.0, 5.0, 100_000) * rng.choice([-1.0, 1.0], 100_000)
-    d_significand = empirical_distance(samples, 10)
+    d_significand = uniform_distance(log_fractions(samples, 10))
     frac = np.sort(np.mod(np.log10(np.abs(samples)), 1.0))
     n = frac.size
     d_mod1 = max(
@@ -182,25 +185,23 @@ def test_criterion_7_diaconis_equivalence():
 
 
 def test_criterion_8_delta_sampling_harness():
-    result = delta_sampling_check(
-        lambda t: math.sqrt(2) * t,
-        1e4,
-        [1 / math.sqrt(2), 1 / math.sqrt(3), 1 / math.sqrt(5)],
-        1,
+    discrete, continuous = subsequence_weyl_averages(
+        lambda t: math.sqrt(2) * t, 1e4, [1 / math.sqrt(2), 1 / math.sqrt(3), 1 / math.sqrt(5)]
     )
+    flagged = [abs(s - continuous) > FLAG_GAP for s in discrete]
     # the first delta multiplies the slope to exactly 1: the designated
     # rational pathology, flagged rather than averaged away
-    assert result.flagged[0]
-    assert result.discrete_magnitudes[0] > 0.99
-    for m in result.discrete_magnitudes[1:]:
-        assert m < 0.02
-    assert result.continuous_magnitude < 0.02
-    assert not any(result.flagged[1:])
+    assert flagged[0]
+    assert abs(discrete[0]) > 0.99
+    for s in discrete[1:]:
+        assert abs(s) < 0.02
+    assert abs(continuous) < 0.02
+    assert not any(flagged[1:])
     report_pass(
         8,
         "arithmetic-subsequence sampling harness",
-        continuous=result.continuous_magnitude,
-        pathology=result.discrete_magnitudes[0],
+        continuous=abs(continuous),
+        pathology=abs(discrete[0]),
     )
 
 

@@ -317,6 +317,19 @@ class TestBenfordCommand:
         assert code == EXIT_NUMERIC
         assert json.loads(out)["truncated_at"] is not None
 
+    def test_overflow_at_the_first_sample_exit_3(self, capsys, tmp_path):
+        # e^{tA} leaves the float range at the first grid time: no report, exit 3
+        gen = tmp_path / "gen.json"
+        gen.write_text("[[0, 1e306], [0, 0]]")
+        obs = tmp_path / "obs.json"
+        obs.write_text("[[0, 1], [0, 0]]")
+        code, out, err = run_cli(
+            capsys, "--step", "1000", "--horizon", "1e6", "benford", "--matrix", str(gen), "--observable", str(obs)
+        )
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert err == "error: matrix exponential overflowed at t = 1000.0\n"
+
     def test_bad_synthetic_spec_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "benford", "--synthetic", "r=banana")
         assert code == EXIT_USAGE
@@ -607,6 +620,13 @@ class TestDataIO:
 
 ANNOTATED = {"matrix": [[1.0, 0.0], [0.0, 2.0]]}
 ONE_TWO = [{"re": {"1": 1}}, {"re": {"1": 2}}]
+ROTATION = [[0.0, -2.0], [2.0, 0.0]]  # spectrum +-2i, on the imaginary axis
+
+
+def rotation_annotation(re: dict, **fields) -> dict:
+    """[[0, -2], [2, 0]] annotated as re +- 2i over the given symbols and atoms."""
+    eigenvalues = [{"re": re, "im": {"1": "2"}}, {"re": re, "im": {"1": "-2"}}]
+    return {"matrix": ROTATION, "exact_spectrum": {**fields, "eigenvalues": eigenvalues}}
 
 
 @pytest.mark.parametrize(
@@ -620,6 +640,18 @@ ONE_TWO = [{"re": {"1": 1}}, {"re": {"1": 2}}]
         ("m.json", {"foo": [[1]]}, ["analyze-matrix", "{}"], "needs a 'matrix' key"),
         ("m.json", [["a", 1], [1, 1]], ["analyze-matrix", "{}"], "matrix entries must be numbers"),
         ("m.csv", "1,2\n3,x\n", ["analyze-matrix", "{}"], "line 2: non-numeric entry"),
+        ("m.csv", "1,2\n3\n", ["analyze-matrix", "{}"], "m.csv: line 2: 1 entries, the first row has 2"),
+        ("m.csv", "1,2\n3\n", ["benford", "--matrix", "{}"], "m.csv: line 2: 1 entries, the first row has 2"),
+        # ln1 = 0 and ln010 = ln10 are no stock atoms: as atoms they would be assumed
+        # independent, and the spectrum +-2i would read nonresonant
+        ("m.json", rotation_annotation({"ln1": "1"}, symbols=["ln1"]), ["analyze-matrix", "{}"],
+         "atom 'ln1' needs a numeric value"),
+        ("m.json", rotation_annotation({"ln10": "1", "ln010": "-1"}, symbols=["ln10", "ln010"]), ["analyze-matrix", "{}"],
+         "atom 'ln010' needs a numeric value"),
+        ("m.json", rotation_annotation({"ln1^-1": "1"}, symbols=["ln1^-1"]), ["analyze-matrix", "{}"],
+         "atom 'ln1' needs a numeric value"),
+        ("m.json", rotation_annotation({"z^-1": "1"}, symbols=["z^-1"], atoms={"z": 0}), ["analyze-matrix", "{}"],
+         "atom 'z' has the value 0"),
         ("s.csv", "1\n2\n", ["benford", "--signal-csv", "{}"], "line 1: expected two columns"),
         ("s.csv", "t,value\n", ["benford", "--signal-csv", "{}"], "no data rows"),
         ("s.csv", "".join(f"{i},{'nan' if i == 7 else 1.5}\n" for i in range(200)), ["benford", "--signal-csv", "{}"],
@@ -633,7 +665,9 @@ ONE_TWO = [{"re": {"1": 1}}, {"re": {"1": 2}}]
     ],
     ids=[
         "config-step-above-horizon", "config-weyl_k-0", "config-format-xml", "config-list", "config-thresholds-int",
-        "matrix-no-key", "matrix-str-entry", "matrix-csv-str-entry", "signal-one-column", "signal-header-only",
+        "matrix-no-key", "matrix-str-entry", "matrix-csv-str-entry", "matrix-csv-ragged", "benford-matrix-csv-ragged",
+        "annotation-ln1", "annotation-ln010", "annotation-ln1-inverse", "annotation-zero-atom",
+        "signal-one-column", "signal-header-only",
         "signal-nan", "annotation-pi**2", "annotation-eigenvalue-int", "annotation-re-int",
     ],
 )
@@ -644,6 +678,15 @@ def test_refused_input_exit_2(capsys, tmp_path, name, content, argv, message):
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+def test_rotation_without_atoms_is_resonant(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(rotation_annotation({})))
+    code, out, _ = run_cli(capsys, "analyze-matrix", str(path))
+    assert code == EXIT_OK
+    exact = json.loads(out)["exact"]
+    assert exact["resonant"] and exact["witness"]["kind"] == "zero-real-part"
 
 
 def test_console_entry_point():

@@ -15,6 +15,7 @@ from benflow.exactreal import (
     mul_symbol,
     rational_log,
     span_membership,
+    stock_atom_value,
 )
 
 
@@ -59,6 +60,17 @@ class TestSymbolBasis:
         basis = SymbolBasis.default(10)
         x = basis.rational(2) + basis.term(PI, Fraction(1, 2))
         assert x.value() == pytest.approx(2 + math.pi / 2)
+
+
+class TestStockAtoms:
+    @pytest.mark.parametrize("atom, value", [("pi", math.pi), ("ln2", math.log(2)), ("ln10", math.log(10))])
+    def test_stock_values(self, atom, value):
+        assert stock_atom_value(atom) == value
+
+    @pytest.mark.parametrize("atom", ["ln0", "ln1", "ln010", "ln02", "ln", "ln-2", "lnx", "e"])
+    def test_zero_and_second_spellings_are_no_stock_atoms(self, atom):
+        # ln1 = 0, and ln010 would be a second atom for ln10: neither is independent
+        assert stock_atom_value(atom) is None
 
 
 class TestExactRealArithmetic:

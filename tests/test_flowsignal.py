@@ -459,6 +459,15 @@ class TestExternalSamples:
         with pytest.raises(UsageError, match="finite and > 0"):
             benford_report_from_log_samples(logb, 10, **labels)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_log_samples_refuse_nan_and_plus_inf(self, bad):
+        logb = np.linspace(0.0, 50.0, 1000)
+        logb[17] = bad
+        with pytest.raises(DomainError, match="finite or -inf"):
+            benford_report_from_log_samples(logb, 10)
+        logb[17] = -math.inf  # an exact zero
+        assert benford_report_from_log_samples(logb, 10).excluded_sample_count == 1
+
     def test_log_samples_given_are_not_written(self):
         logb = np.linspace(0.0, 50.0, 1000)
         kept = logb.copy()

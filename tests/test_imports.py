@@ -1,5 +1,7 @@
-"""Every imported name in the package and the tests is used, and the
-package imports nothing beyond its declared runtime dependencies.
+"""Every imported name in the package and the tests is used, every
+top-level definition of the package has a caller in it or a reason in
+the README, and the package imports nothing beyond its declared runtime
+dependencies.
 
 A stdlib-`ast` scan: a module's imported names must each appear as a
 name (or the root of an attribute chain) somewhere in that module,
@@ -10,13 +12,16 @@ exempt; `from __future__` imports are directives, not names.
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "benflow"
 MODULES = sorted(
     p for d in (ROOT / "src" / "benflow", ROOT / "tests") for p in d.rglob("*.py") if p.name != "__init__.py"
 )
@@ -89,7 +94,65 @@ def test_scan_catches_unused_and_accepts_used():
     assert unused_imports(source) == ["line 2: math"]
 
 
-# Every public name of benflow at the switch to lazy exports; each must keep resolving.
+def referenced_names(node: ast.AST) -> set[str]:
+    """Names a statement reads, the attribute of a `module.name` chain included."""
+    return used_names(node) | {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+
+
+def defined_names(node: ast.stmt) -> set[str]:
+    """The names other than dunders that a top-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = {node.name}
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        names = {t.id for t in (node.targets if isinstance(node, ast.Assign) else [node.target]) if isinstance(t, ast.Name)}
+    else:
+        names = set()
+    return {name for name in names if not name.startswith("__")}
+
+
+def uncalled_definitions(sources: list[str]) -> set[str]:
+    """Top-level definitions of the modules that no other top-level statement
+    of them reads; an import is no reader."""
+    statements = [node for source in sources for node in ast.parse(source).body]
+    reads = [referenced_names(node) for node in statements]
+    readers = Counter(name for names in reads for name in names)
+    return {name for node, names in zip(statements, reads) for name in defined_names(node) if readers[name] == (name in names)}
+
+
+def package_sources() -> list[str]:
+    return [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+
+
+def deliberate_public_api() -> set[str]:
+    """The names of the README's list of deliberate public API, each given with a reason."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("### Deliberate public API", 1)[1]
+    return set(re.findall(r"^- `(\w+)`: \S", section.split("\n#", 1)[0], re.M))
+
+
+def test_every_definition_has_a_caller_or_a_reason():
+    assert uncalled_definitions(package_sources()) == deliberate_public_api()
+
+
+def test_caller_scan_catches_a_planted_uncalled_definition():
+    sources = [
+        "from math import pi\n"
+        "LIMIT = 3\n"
+        "def f():\n    return g() + LIMIT\n"
+        "def h(n):\n    return h(n - 1)\n"
+        "class C:\n    pass\n",
+        "import mod\n"
+        "__all__ = ['g']\n"
+        "def g() -> 'C':\n    return mod.k()\n"
+        "def k():\n    return pi\n",
+    ]
+    # f has no reader and h reads only itself; g reads C through a string
+    # annotation and k through an attribute; __all__ and imports define nothing
+    assert uncalled_definitions(sources) == {"f", "h"}
+    planted = "def unused_helper(a):\n    return spectrum(a)\n"
+    assert uncalled_definitions(package_sources() + [planted]) == deliberate_public_api() | {"unused_helper"}
+
+
+# Every public name of benflow; each must keep resolving.
 EXPORTED = (
     "RunConfig Tolerances VerdictThresholds ExactComplex ExactReal Monomial SymbolBasis exact_log_base "
     "span_membership BenfordReport NormOnFlow Observable ObservableOnFlow Synthetic "
@@ -97,10 +160,10 @@ EXPORTED = (
     "eval_signal triviality_check CensusReport EnsembleSpec resonance_census sample_generator SpectrumInfo "
     "SpectrumPoint companion_from_second_order expm is_hyperbolic jordan_index planar_criterion spectrum "
     "IntegerRelation ResonanceVerdict ShellPoint is_b_nonresonant is_exp_b_nonresonant "
-    "is_exp_nonresonant_algebraic numeric_relation_scan DigitHistogram benford_cdf digit_frequencies "
-    "digit_law_pmf empirical_distance first_digit significand SamplingGrid TorusMapSpec WeylReport cud_report "
-    "delta_sampling_check pushforward_fourier torus_map_apply weyl_sum_sequence"
+    "is_exp_nonresonant_algebraic numeric_relation_scan DigitHistogram digit_frequencies digit_law_pmf "
+    "significand SamplingGrid TorusMapSpec WeylReport pushforward_fourier torus_map_apply"
 ).split()
+REMOVED = "benford_cdf cud_report delta_sampling_check empirical_distance first_digit weyl_sum_sequence".split()
 SUBMODULES = "cli config dataio demos errors exactreal flowsignal genericity matrixcore resonance significand udmod1".split()
 FIXTURE = ROOT / "src" / "benflow" / "fixtures" / "ex-3-9.json"
 # (entry point, modules it must not load): the matrix exponential is the
@@ -137,17 +200,20 @@ def test_each_entry_point_loads_only_its_modules():
     for code, absent in ENTRY_POINTS:
         loaded = run_python(code + "\nimport sys; print(*sys.modules)").split()
         assert absent.isdisjoint({*loaded, *(m.partition(".")[0] for m in loaded)}), code
-    # every public name and submodule resolves lazily from a fresh import and is listed by dir();
-    # `significand` stays the function though its submodule is loaded too
+    # every public name and submodule resolves lazily from a fresh import and is listed by dir(),
+    # and no other name is exported; `significand` stays the function though its submodule is
+    # loaded too; the removed names no longer resolve
     checks = run_python(
         "import json, sys, types, benflow\n"
-        f"names, subs = {EXPORTED!r}, {SUBMODULES!r}\n"
+        f"names, subs, removed = {EXPORTED!r}, {SUBMODULES!r}, {REMOVED!r}\n"
         "from benflow.significand import significand\n"
         "print(json.dumps([\n"
         "    sorted(set(names + subs) - set(dir(benflow))),\n"
+        "    sorted(set(benflow.__all__) ^ set(names)),\n"
+        "    [n for n in removed if hasattr(benflow, n)],\n"
         "    [n for n in names if isinstance(getattr(benflow, n), types.ModuleType)],\n"
         "    [s for s in subs if s != 'significand' and getattr(benflow, s) is not sys.modules['benflow.' + s]],\n"
         "    benflow.significand is significand,\n"
         "]))"
     )
-    assert json.loads(checks) == [[], [], [], True]
+    assert json.loads(checks) == [[], [], [], [], [], True]

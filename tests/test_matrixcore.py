@@ -56,6 +56,19 @@ class TestExpm:
             expm(np.array([[1000.0]]), 1000.0)
         assert err.value.t == 1000.0
 
+    def test_overflow_of_a_2x2_names_time(self):
+        # tA leaves the float range, so no approximant is formed
+        with pytest.raises(SignalOverflowError) as err:
+            expm(np.array([[1e200, 1e200], [-1e200, 1e200]]), 1e200)
+        assert err.value.t == 1e200
+
+    def test_exact_nilpotent_sum_past_the_float_range_overflows(self):
+        # A^3 = 0 with finite A, but the A^2 / 2 term of the exact sum is 5e399
+        a = np.array([[0.0, 1e200, 0.0], [0.0, 0.0, 1e200], [0.0, 0.0, 0.0]])
+        with pytest.raises(SignalOverflowError) as err:
+            expm(a, 1.0)
+        assert err.value.t == 1.0
+
     def test_huge_nilpotent_is_exact(self):
         # A^2 = 0, so no squaring is needed; scaling by ||tA||_1 would take about
         # 1013 squarings and turn the diagonal's rounding error into a zero matrix

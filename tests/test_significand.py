@@ -8,29 +8,34 @@ from hypothesis import strategies as st
 from benflow.errors import DomainError, UsageError
 from benflow.significand import (
     DigitHistogram,
-    benford_cdf,
     digit_frequencies,
     digit_law_pmf,
-    empirical_distance,
-    first_digit,
+    log_fractions,
     significand,
+    uniform_distance,
 )
+
+
+def ks_distance(samples, b: int) -> float:
+    """Sup-distance of the sample's significand ECDF from the log_b law,
+    over its nonzero entries."""
+    return uniform_distance(log_fractions(samples, b))
 
 
 class TestSignificand:
     def test_e_base10(self):
         s = significand(math.e, 10)
         assert abs(s - math.e) < 1e-15
-        assert first_digit(math.e, 10) == 2
+        assert int(significand(math.e, 10)) == 2
 
     def test_zero_convention(self):
         assert significand(0.0, 7) == 0.0
-        assert first_digit(0.0, 10) == 0
+        assert int(significand(0.0, 10)) == 0
 
     def test_negative_uses_absolute_value(self):
         s = significand(-math.exp(math.e), 10)
         assert abs(s - 1.5154262241479262) < 1e-12
-        assert first_digit(-math.exp(math.e), 10) == 1
+        assert int(significand(-math.exp(math.e), 10)) == 1
 
     def test_dyadic_base2(self):
         assert significand(0.25, 2) == 1.0
@@ -39,8 +44,6 @@ class TestSignificand:
         for bad in (math.inf, -math.inf, math.nan):
             with pytest.raises(DomainError):
                 significand(bad, 10)
-            with pytest.raises(DomainError):
-                first_digit(bad, 10)
 
     def test_bad_base_rejected(self):
         with pytest.raises(UsageError):
@@ -74,7 +77,7 @@ class TestSignificand:
             assert s == 0.0
         else:
             assert 1.0 <= s < b
-            assert 1 <= first_digit(x, b) <= b - 1
+            assert 1 <= int(significand(x, b)) <= b - 1
 
     def test_extremes(self):
         for x in (5e-324, 1.7e308, 2.2250738585072014e-308):
@@ -84,18 +87,15 @@ class TestSignificand:
 
 class TestDigitLaw:
     def test_cdf_reference_values(self):
-        assert abs(benford_cdf(2, 10) - 0.3010299957) < 1e-9
-        assert abs((1 - benford_cdf(9, 10)) - 0.0457574906) < 1e-9
+        # P(digit 1) = log10 2 and P(digit 9) = 1 - log10 9
+        pmf = digit_law_pmf(10)
+        assert abs(pmf[0] - 0.3010299957) < 1e-9
+        assert abs(pmf[8] - 0.0457574906) < 1e-9
 
     def test_cdf_at_one_is_zero(self):
+        # S = 1 sits at u = log_b 1 = 0, where the law's CDF log_b s is zero
         for b in (2, 5, 10, 60):
-            assert benford_cdf(1, b) == 0.0
-
-    def test_cdf_domain(self):
-        with pytest.raises(DomainError):
-            benford_cdf(0.5, 10)
-        with pytest.raises(DomainError):
-            benford_cdf(10, 10)
+            assert log_fractions(np.array([1.0]), b).tolist() == [0.0]
 
     def test_pmf_first_entry(self):
         assert abs(digit_law_pmf(10)[0] - 0.30103) < 1e-5
@@ -114,29 +114,29 @@ class TestDigitLaw:
 
 class TestEmpiricalDistance:
     def test_two_point_sample(self):
-        assert empirical_distance([1.0, math.sqrt(10)], 10) == pytest.approx(0.5)
+        assert ks_distance([1.0, math.sqrt(10)], 10) == pytest.approx(0.5)
 
     def test_constant_sample(self):
-        assert empirical_distance([5.0, 5.0, 5.0], 10) == pytest.approx(math.log10(5))
+        assert ks_distance([5.0, 5.0, 5.0], 10) == pytest.approx(math.log10(5))
 
     def test_exponential_grid(self):
         # signal b^t on [0, 100]: sup distance bounded by 1/(ln b * T) plus grid error
         t = np.arange(1, 100_001) * 1e-3
         samples = np.exp(t * math.log(10))
-        d = empirical_distance(samples, 10)
+        d = ks_distance(samples, 10)
         assert d < 0.011
 
     def test_empty_rejected(self):
         with pytest.raises(UsageError):
-            empirical_distance([], 10)
+            ks_distance([], 10)
         with pytest.raises(UsageError):
-            empirical_distance([0.0, 0.0], 10)
+            ks_distance([0.0, 0.0], 10)
 
     def test_diaconis_equivalence(self):
         # the significand statistic equals the mod-1 statistic of log_b
         rng = np.random.default_rng(7)
         samples = rng.lognormal(0.0, 4.0, 3000) * rng.choice([-1.0, 1.0], 3000)
-        d_sig = empirical_distance(samples, 10)
+        d_sig = ks_distance(samples, 10)
         # independent oracle: fractional parts of log10|x| against the uniform law
         frac = np.sort(np.mod(np.log10(np.abs(samples)), 1.0))
         n = frac.size

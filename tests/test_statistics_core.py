@@ -5,7 +5,7 @@ off one sorted array u in [0, 1).  This module checks that array three
 ways: against the earlier route that formed significands b**u, binned
 them and took their log again (copied below as the oracle); for raw
 values sitting exactly on a digit edge, against the exact scalar
-`first_digit`; and, bit for bit, against the same statistics taken over
+`significand`; and, bit for bit, against the same statistics taken over
 whole arrays (also copied below), at the edges of the SLICE-sample
 passes the core makes, with allocation bounds that only a sliced core
 meets.  The exclusion, which keeps whole blocks under a proven bound,
@@ -38,13 +38,12 @@ from benflow.significand import (
     SLICE,
     digit_counts,
     digit_frequencies,
-    empirical_distance,
-    first_digit,
-    fractions_of_logs,
     log_fractions,
+    significand,
     uniform_distance,
 )
 from benflow.udmod1 import SamplingGrid, _kernel_shape, sorted_weyl_sums
+from helpers import fractions_of_logs
 from test_sampler_paths import CASES, SPIRAL3, SPIRAL4, block_generator, block_parts
 
 CONFIG = RunConfig()
@@ -205,10 +204,10 @@ def test_raw_values_on_digit_edges_follow_first_digit(b):
     values = edge_values(b)
     # alternate signs: only |x| counts
     values = [x if i % 2 else -x for i, x in enumerate(values)]
-    digits = [first_digit(x, b) for x in values]
+    digits = [int(significand(x, b)) for x in values]
     expected = {d: digits.count(d) for d in range(1, b) if digits.count(d)}
     assert digit_frequencies(values, b).counts == expected
-    assert abs(empirical_distance(values, b) - edge_distance(digits, b)) <= 1e-12
+    assert abs(uniform_distance(log_fractions(values, b)) - edge_distance(digits, b)) <= 1e-12
     # the CSV entry point needs 100 samples; ascending |x| excludes none
     repeat = -(-100 // len(values))
     report = benford_report_from_samples(np.repeat(values, repeat), b, config=CONFIG)
@@ -236,7 +235,7 @@ def test_values_where_powers_overflow_follow_first_digit(b):
     # in base 16 the frac(log) fallback put 1.5e-323 (12 * 16^-268) in digit 11
     # and the float maximum (15.99.. * 16^255) in digit 1
     values = extreme_values(b)
-    digits = [first_digit(x, b) for x in values]
+    digits = [int(significand(x, b)) for x in values]
     expected = {d: digits.count(d) for d in range(1, b) if digits.count(d)}
     assert digit_frequencies(values, b).counts == expected
     if b == 16:

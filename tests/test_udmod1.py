@@ -9,18 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from benflow.errors import DomainError, UsageError
-from benflow.significand import fractions_of_logs
+from benflow.flowsignal import benford_report_from_log_samples
+from benflow.significand import log_fractions
 from benflow.udmod1 import (
     SamplingGrid,
     TorusMapSpec,
+    WeylReport,
     _kernel_shape,
-    cud_report,
-    delta_sampling_check,
     pushforward_fourier,
     sorted_weyl_sums,
     torus_map_apply,
-    weyl_sum_sequence,
 )
+from helpers import FLAG_GAP, fractions_of_logs, subsequence_weyl_averages, weyl_average
 
 # frozen fine-grid oracles for the two circle maps of the spiral flows
 # (midpoint rule, 1e6 points; odd frequencies vanish by half-period symmetry)
@@ -72,33 +72,37 @@ class TestSamplingGrid:
             grid.times()
 
 
+def weyl_report(samples, K: int) -> WeylReport:
+    """The Weyl report of any finite samples at frequencies 1..K."""
+    return WeylReport.from_sorted(fractions_of_logs(np.asarray(samples, dtype=float)), K)
+
+
 class TestWeylSums:
+    """Weyl averages of sequences, as the package kernel reads them off sorted fractions."""
+
     def test_constant_zero_sequence(self):
-        assert weyl_sum_sequence(np.zeros(10), 1) == pytest.approx(1 + 0j)
+        assert weyl_average(np.zeros(10), 1) == pytest.approx(1 + 0j)
 
     def test_golden_rotation_small(self):
         golden = (math.sqrt(5) - 1) / 2
         x = np.arange(1, 100_001) * golden
-        value = weyl_sum_sequence(x, 1)
+        value = weyl_average(x, 1)
         assert abs(value) < 1e-3
         # independent oracle: plain compensated summation
         re = math.fsum(math.cos(2 * math.pi * n * golden) for n in range(1, 2001))
         im = math.fsum(math.sin(2 * math.pi * n * golden) for n in range(1, 2001))
         oracle = complex(re, im) / 2000
-        direct = weyl_sum_sequence(np.arange(1, 2001) * golden, 1)
+        direct = weyl_average(np.arange(1, 2001) * golden, 1)
         assert abs(direct - oracle) < 1e-12
 
     def test_half_integer_aliasing(self):
-        value = weyl_sum_sequence(np.arange(200) / 2.0, 2)
+        value = weyl_average(np.arange(200) / 2.0, 2)
         assert value == pytest.approx(1 + 0j, abs=1e-12)
 
-    def test_zero_frequency_rejected(self):
-        with pytest.raises(UsageError):
-            weyl_sum_sequence([0.1, 0.2], 0)
-
     def test_empty_rejected(self):
-        with pytest.raises(UsageError):
-            weyl_sum_sequence([], 1)
+        # outside samples reach the kernel through the log-sample entry point
+        with pytest.raises(UsageError, match="at least 100 samples"):
+            benford_report_from_log_samples(np.array([]), 10)
 
     @given(
         st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50),
@@ -106,46 +110,48 @@ class TestWeylSums:
     )
     @settings(max_examples=150, deadline=None)
     def test_magnitude_bounded_by_one(self, xs, k):
-        assert abs(weyl_sum_sequence(xs, k)) <= 1 + 1e-12
+        assert abs(weyl_average(xs, abs(k))) <= 1 + 1e-12
 
     def test_magnitude_one_iff_aligned_phases(self):
         aligned = np.array([0.25, 1.25, 7.25])
-        assert abs(weyl_sum_sequence(aligned, 1)) == pytest.approx(1.0)
+        assert abs(weyl_average(aligned, 1)) == pytest.approx(1.0)
         spread = np.array([0.0, 0.25])
-        assert abs(weyl_sum_sequence(spread, 1)) < 1.0
+        assert abs(weyl_average(spread, 1)) < 1.0
 
 
 class TestWeylAverage:
     def test_linear_phase_closed_form(self):
         alpha, T, k = 0.37, 500.0, 2
         grid = SamplingGrid(T=T, step=1e-3)
-        estimate = weyl_sum_sequence(alpha * grid.times(), k)
+        estimate = weyl_average(alpha * grid.times(), k)
         closed = (cmath.exp(2j * math.pi * k * alpha * T) - 1) / (2j * math.pi * k * alpha * T)
         assert abs(estimate - closed) < 1e-3
         assert abs(estimate) <= 1.0 / (math.pi * abs(k) * alpha * T) + 1e-2
 
     def test_constant_function(self):
         c = 0.3123
-        assert weyl_sum_sequence(np.full(500, c), 2) == pytest.approx(
+        assert weyl_average(np.full(500, c), 2) == pytest.approx(
             cmath.exp(2j * math.pi * 2 * c)
         )
 
     def test_full_period(self):
         delta = 1e-3
         grid = SamplingGrid(T=1.0, step=delta)
-        value = weyl_sum_sequence(grid.times(), 1)
+        value = weyl_average(grid.times(), 1)
         assert abs(value) < 2 * math.pi * delta
 
 
 class TestCudReport:
+    """Weyl reports on any finite samples, read off their sorted fractions."""
+
     def test_irrational_rotation_equidistributes(self):
         grid = SamplingGrid(T=1e4, step=1e-2)
-        report = cud_report(grid.times() * math.log(2) / math.log(10), 5)
+        report = weyl_report(grid.times() * math.log(2) / math.log(10), 5)
         assert report.max_magnitude < 0.01
         assert report.max_magnitude < report.noise_floor(3.0)
 
     def test_constant_samples(self):
-        report = cud_report(np.full(300, 0.77), 4)
+        report = weyl_report(np.full(300, 0.77), 4)
         assert all(m == pytest.approx(1.0) for m in report.magnitudes.values())
         assert report.max_magnitude > report.noise_floor(3.0)
 
@@ -154,20 +160,22 @@ class TestCudReport:
         grid = SamplingGrid(T=1e4, step=1e-2)
         x = grid.times() / math.log(10)
         samples = observable_map(np.mod(x, 1.0))
-        report = cud_report(samples, 5)
+        report = weyl_report(samples, 5)
         assert report.magnitudes[2] == pytest.approx(OBSERVABLE_MAP_K2, abs=0.01)
         assert report.magnitudes[2] > 10 * report.noise_floor(3.0)
         assert report.max_magnitude > report.noise_floor(3.0)
 
     def test_too_few_samples(self):
-        with pytest.raises(UsageError):
-            cud_report(np.zeros(50), 3)
+        # a report on outside samples needs MIN_SAMPLES of them
+        with pytest.raises(UsageError, match="at least 100 samples"):
+            benford_report_from_log_samples(np.zeros(99), 10)
+        assert benford_report_from_log_samples(np.zeros(100), 10).weyl.count == 100
 
     def test_frequency_scaling_identity(self):
         # the magnitude of k'(k f) is by definition the magnitude of (k'k) f
         samples = np.linspace(0, 1, 500) ** 2
-        m1 = abs(weyl_sum_sequence(3 * samples, 2))
-        m2 = abs(weyl_sum_sequence(samples, 6))
+        m1 = abs(weyl_average(3 * samples, 2))
+        m2 = abs(weyl_average(samples, 6))
         assert m1 == pytest.approx(m2, abs=1e-14)
 
     def test_vanishing_perturbation_preserves_magnitudes(self):
@@ -177,8 +185,8 @@ class TestCudReport:
         base = rng.uniform(0, 1, 5000)
         decay = 0.2 / np.arange(1, 5001)
         for k in (1, 2, 3):
-            m0 = abs(weyl_sum_sequence(base + 0.123, k))
-            m1 = abs(weyl_sum_sequence(base + 0.123 + decay, k))
+            m0 = abs(weyl_average(base + 0.123, k))
+            m1 = abs(weyl_average(base + 0.123 + decay, k))
             assert abs(m1 - m0) <= 2 * math.pi * k * np.mean(np.abs(decay)) + 1e-12
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -186,9 +194,9 @@ class TestCudReport:
         samples = np.linspace(0.0, 3.0, 200)
         samples[17] = bad
         with pytest.raises(DomainError):
-            cud_report(samples, 3)
+            log_fractions(samples, 10)
         with pytest.raises(DomainError):
-            weyl_sum_sequence([0.1, bad], 1)
+            pushforward_fourier(lambda x: np.where(x < 0.5, 0.1, bad), 1)
 
 
 _RNG = np.random.default_rng(2024)
@@ -221,7 +229,7 @@ class TestWeylKernel:
     def test_matches_mpmath(self, case, K):
         x = KERNEL_CASES[case]
         sums = sorted_weyl_sums(fractions_of_logs(x), K)
-        report = cud_report(x, K)
+        report = WeylReport.from_sorted(fractions_of_logs(x), K)
         assert sums.shape == (K,) and report.K == K and report.count == x.size
         for k in sorted({1, 2, 3, K // 2, K - 1, K} & set(range(1, K + 1))):
             exact = mpmath_weyl_average(case, k)
@@ -247,51 +255,39 @@ class TestWeylKernel:
 
 
 class TestDeltaSampling:
+    """Weyl averages along arithmetic subsequences n * delta against the time average."""
+
     def test_irrational_slope_all_pass(self):
-        f = lambda t: math.sqrt(2) * t
-        result = delta_sampling_check(
-            f, 1e4, [1 / math.sqrt(3), 1 / math.sqrt(5)], 1
-        )
-        assert all(m < 0.02 for m in result.discrete_magnitudes)
-        assert result.continuous_magnitude < 0.02
-        assert not any(result.flagged)
-        # independent oracle for the first delta: direct summation
         d = 1 / math.sqrt(3)
+        discrete, continuous = subsequence_weyl_averages(lambda t: math.sqrt(2) * t, 1e4, [d, 1 / math.sqrt(5)])
+        assert all(abs(s) < 0.02 for s in discrete)
+        assert abs(continuous) < 0.02
+        assert all(abs(s - continuous) <= FLAG_GAP for s in discrete)
+        # independent oracle for the first delta: direct summation
         n = int(1e4 / d)
         seq = np.exp(2j * np.pi * math.sqrt(2) * d * np.arange(1, n + 1))
-        assert abs(result.discrete_sums[0] - seq.mean()) < 1e-12
+        assert abs(discrete[0] - seq.mean()) < 1e-12
 
     def test_rational_pathology_flagged(self):
         # delta * slope rational: the arithmetic subsequence sits on a lattice
-        result = delta_sampling_check(
-            lambda t: math.sqrt(2) * t,
-            1e4,
-            [1 / math.sqrt(2), 1 / math.sqrt(3)],
-            1,
+        discrete, continuous = subsequence_weyl_averages(
+            lambda t: math.sqrt(2) * t, 1e4, [1 / math.sqrt(2), 1 / math.sqrt(3)]
         )
-        assert result.discrete_magnitudes[0] == pytest.approx(1.0)
-        assert result.flagged[0]
-        assert not result.flagged[1]
+        assert abs(discrete[0]) == pytest.approx(1.0)
+        assert abs(discrete[0] - continuous) > FLAG_GAP
+        assert abs(discrete[1] - continuous) <= FLAG_GAP
 
     def test_identity_pathology(self):
-        result = delta_sampling_check(lambda t: t, 1e4, [1.0], 1)
-        assert result.discrete_magnitudes[0] == pytest.approx(1.0)
-        assert result.continuous_magnitude < 0.01
-        assert result.flagged[0]
+        (discrete,), continuous = subsequence_weyl_averages(lambda t: t, 1e4, [1.0])
+        assert abs(discrete) == pytest.approx(1.0)
+        assert abs(continuous) < 0.01
+        assert abs(discrete - continuous) > FLAG_GAP
 
     def test_constant_function_all_one(self):
-        result = delta_sampling_check(lambda t: np.zeros_like(t), 1e3, [0.7, 1.3], 1)
-        assert all(m == pytest.approx(1.0) for m in result.discrete_magnitudes)
-        assert result.continuous_magnitude == pytest.approx(1.0)
-        assert not any(result.flagged)
-
-    def test_degenerate_delta_list_rejected(self):
-        with pytest.raises(UsageError):
-            delta_sampling_check(lambda t: t, 1e3, [], 1)
-        with pytest.raises(UsageError):
-            delta_sampling_check(lambda t: t, 1e3, [200.0], 1)
-        with pytest.raises(UsageError):
-            delta_sampling_check(lambda t: t, 1e3, [0.5], 0)
+        discrete, continuous = subsequence_weyl_averages(lambda t: np.zeros_like(t), 1e3, [0.7, 1.3])
+        assert all(abs(s) == pytest.approx(1.0) for s in discrete)
+        assert abs(continuous) == pytest.approx(1.0)
+        assert all(abs(s - continuous) <= FLAG_GAP for s in discrete)
 
 
 class TestTorusMap:
