@@ -17,6 +17,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .config import RunConfig
 from .dataio import emit_report, load_config, load_matrix, load_signal_csv, parse_exact_spectrum, write_table
@@ -213,14 +215,22 @@ def _parse_synthetic(text: str) -> Synthetic:
     return Synthetic(r=r, k=k, modes=modes)
 
 
+def _ecdf_significands(u: np.ndarray, b: int) -> np.ndarray:
+    """The significands b^u behind the `--ecdf-csv` rows, each clipped
+    below b: every (n // 512)-th of the n sorted kept fractions u, or every
+    one when n < 1024."""
+    stride = max(1, u.size // 512)
+    return np.minimum(np.power(float(b), u[stride - 1 :: stride]), math.nextafter(float(b), 1.0))
+
+
 def _cmd_benford(args, cfg: RunConfig) -> int:
-    from .flowsignal import NormOnFlow, Observable, ObservableOnFlow, benford_report_from_samples, benford_verdict
+    from .flowsignal import NormOnFlow, Observable, ObservableOnFlow, _samples_verdict, _signal_verdict
 
     if args.matrix is None and (args.observable or args.norm):
         raise UsageError("--observable and --norm apply only to --matrix")
     if args.signal_csv:
         _, values = load_signal_csv(args.signal_csv)
-        report = benford_report_from_samples(values, config=cfg)
+        report, u = _samples_verdict(values, config=cfg)
     else:
         if args.synthetic is not None:
             spec = _parse_synthetic(args.synthetic)
@@ -231,15 +241,15 @@ def _cmd_benford(args, cfg: RunConfig) -> int:
                 spec = ObservableOnFlow(matrix, Observable(obs_matrix))
             else:
                 spec = NormOnFlow(matrix, args.norm or "spectral")
-        report = benford_verdict(spec, config=cfg)
+        report, u = _signal_verdict(spec, config=cfg)
     digits = None  # one row list for --digits-csv and the csv format
     if report.digit_histogram is not None:
         pairs = zip(report.digit_histogram.frequencies(), digit_law_pmf(report.base))
         digits = (["digit", "observed", "target"], [[d, f"{f:.10g}", f"{t:.10g}"] for d, (f, t) in enumerate(pairs, 1)])
         if args.digits_csv:
             write_table(args.digits_csv, digits)
-    if args.ecdf_csv and report.ecdf_quantiles:
-        q = report.ecdf_quantiles
+    if args.ecdf_csv and u.size:
+        q = _ecdf_significands(u, report.base).tolist()
         rows = [[f"{s:.10g}", f"{i / len(q):.10g}", f"{math.log(s, report.base):.10g}"] for i, s in enumerate(q, 1)]
         write_table(args.ecdf_csv, (["significand", "ecdf", "target"], rows))
     emit_report(report.to_dict(), cfg.output_format, args.out, digits)

@@ -26,7 +26,8 @@ Annotation schema:
 
 Symbols are monomial labels: atom names joined by '*', each optionally
 carrying an integer '^exponent'.  Stock atoms are "pi" and "ln<n>" for
-n >= 2; anything else needs a nonzero value in "atoms".  Coordinates
+n >= 2; anything else needs a nonzero value in "atoms", and no two
+atoms may share a value (`SymbolBasis` refuses it).  Coordinates
 map symbol labels to rationals written as integers or "p/q" strings.
 """
 from __future__ import annotations

@@ -92,6 +92,8 @@ class SymbolBasis:
 
     The symbols are declared jointly Q-linearly independent; the
     declaration is recorded by `assumption()` and surfaced in verdicts.
+    Two atoms with one value are one number under two names, which that
+    declaration would contradict: a usage error.
     """
 
     symbols: tuple[Monomial, ...]
@@ -102,6 +104,14 @@ class SymbolBasis:
             raise UsageError("first basis symbol must be the constant 1")
         if len(set(self.symbols)) != len(self.symbols):
             raise UsageError("basis symbols must be unique")
+        names: dict[float, str] = {}
+        for atom, value in self.atom_values:
+            if value in names:
+                raise UsageError(
+                    f"atoms {names[value]!r} and {atom!r} have the same value {value!r}; "
+                    "distinct atoms must be distinct numbers"
+                )
+            names[value] = atom
 
     @classmethod
     def default(cls, b: int) -> "SymbolBasis":

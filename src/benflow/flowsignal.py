@@ -8,11 +8,19 @@ samples, and judge the fractional parts u of the kept logs, sorted
 once: their KS distance from uniform (the significand sup-distance),
 their digit counts and their Weyl magnitudes, which come from power
 sums of the in-cell parts of u within 4096 cells (`udmod1.sorted_weyl_sums`),
-not from one complex exponential per sample.  The log samples are the
-only grid-long array a verdict holds (u overwrites their front): the
+not from one complex exponential per sample.
+
+The memory rule: a verdict holds one grid-long array, its log samples
+(u overwrites their front, and the report keeps no sample), and no
+temporary of any pass, sampler or statistics, norms included, holds
+more than `significand.SLICE` doubles (but for the one block at a time
+of a d >= 6 norm, whose d*d entry rows alone hold more).  The
 exclusion, the fractions, the KS distance and the Weyl power sums (over
-groups of whole cells) run over slices of `significand.SLICE` samples,
-whose temporaries stay in cache and reuse the same pages.  Exclusion
+groups of whole cells) run over slices of SLICE samples, and the
+samplers over passes of SLICE grid times, a norm's entry sums over
+groups of whole blocks within a pass; those temporaries stay in cache
+and reuse the same pages.  A report costs O(b + K) numbers whatever
+the grid.  Exclusion
 compares each sample with the running max of |f|, carried from slice to
 slice, but bounds it block by block: a block whose min lies above the
 running max of the block maxima at its end plus the cutoff is kept
@@ -42,16 +50,18 @@ sum of projector weight row i*d + k, and an observable c is the one
 row c.ravel() @ weights.  Grid times come in blocks t_0 + j*step, so a
 block's factors are its start row e^{(lambda - r)t_0} times one shared
 table of e^{(lambda - r) j step}: the weight rows are folded into the
-start rows, and one pass of samples of all rows is one real GEMM against
-the table, with no per-sample exp and no factor array.  An observable
+start rows, and the samples of all rows over a group of whole blocks
+(at most SLICE sums, a whole pass for an observable) are one real GEMM
+against the table, with no per-sample exp and no factor array.  An observable
 takes its one row of sums; a norm reads the d*d entry rows and takes
 their sum of squares (Frobenius), the entrywise max, a closed form
 (spectral, d = 2 and 3) or an SVD (spectral, d >= 4).
 
 Defective generators (eigenvector condition number from _EIG_COND_LIMIT
 on) fall back to blocked powers of S = e^{(A - rI) step}: S^1..S^m are
-formed once, and each pass is one GEMM of its stacked block bases
-against them, truncated at the first non-finite propagator.
+formed once, and each group of whole blocks (at most SLICE entries) is
+one GEMM of its stacked block bases against them, truncated at the
+first non-finite propagator.
 """
 from __future__ import annotations
 
@@ -320,20 +330,28 @@ def _eigen_logb(modes: _FlowModes, weights: np.ndarray, grid: SamplingGrid, b: i
     Grid times come in blocks of _TABLE consecutive points t_0 + j*step,
     so each factor is e^{mu t_0} (one start row per block) times the
     shared table row e^{mu j step}.  Each row's weights are folded into
-    the start rows, and the sums of all rows over a pass are one real
-    GEMM against the table.  `functional` maps the (rows, blocks,
-    _TABLE) sums to (blocks, _TABLE) values; the last block runs past
-    the grid, so its tail is cut after the functional.  Their absolute
-    values go straight into the output, where `_log_tail` turns them
-    into log_b|f|; no grid-long array but the output is formed.
+    the start rows, and the sums of all rows over a group of whole blocks
+    are one real GEMM against the table.  A group holds at most SLICE
+    sums (one block when a block alone holds more): a pass of an
+    observable (one row) is one group, a 4x4 norm's (16 rows) is 16.
+    `functional` maps the (rows, blocks, _TABLE) sums to (blocks,
+    _TABLE) values; the last block runs past the grid, so its tail is
+    cut after the functional.  Their absolute values go straight into
+    the output, where `_log_tail` turns them into log_b|f| once per
+    pass; no grid-long array but the output is formed.
     """
     # Re(x y) is the real dot product of x and conj(y) read as floats
     table = np.conj(np.exp(np.outer(grid.step * np.arange(_TABLE), modes.mu))).view(np.float64)
+    group = max(1, SLICE // (_TABLE * weights.shape[0]))  # blocks per GEMM: at most SLICE sums
     out = grid.empty()
     for lo, t in grid.passes():
-        folded = weights[:, None, :] * np.exp(np.outer(t[::_TABLE], modes.mu))
-        sums = (folded.view(np.float64).reshape(-1, table.shape[1]) @ table.T).reshape(*folded.shape[:2], _TABLE)
-        np.abs(functional(sums).ravel()[: t.size], out=out[lo : lo + t.size])
+        starts = t[::_TABLE]
+        for g in range(0, starts.size, group):
+            folded = weights[:, None, :] * np.exp(np.outer(starts[g : g + group], modes.mu))
+            sums = (folded.view(np.float64).reshape(-1, table.shape[1]) @ table.T).reshape(*folded.shape[:2], _TABLE)
+            at = lo + g * _TABLE
+            values = functional(sums).ravel()[: lo + t.size - at]
+            np.abs(values, out=out[at : at + values.size])
         count = _log_tail(out, lo, t, modes.r, b)
         if count < t.size:
             return _LogSample(out[: lo + count], truncated_at=float(t[count]))
@@ -440,14 +458,16 @@ def _stepping_logb(a: np.ndarray, r: float, grid: SamplingGrid, b: int, function
     """Fallback for defective generators: blocked powers of S = e^{(A - rI) step}.
 
     The shifted propagator at t_i = i*step is S^i.  S^1..S^m are formed
-    once; a pass over the grid is then the stack of block bases S^{km},
-    k = 0, 1, ... (one small product each, the base carried from pass to
-    pass), times [S^1 | ... | S^m], a single GEMM, and `functional` maps
-    the pass's (d*d, n) entries to n values, whose absolute values go
-    into the output for `_log_tail` to turn into log_b|f|.  The shifted
-    propagator grows at most polynomially, so overflow can only come
-    from extreme Jordan structure; the horizon is then truncated at the
-    first non-finite propagator and reported, and the output cut there.
+    once; a group of whole blocks is then the stack of its block bases
+    S^{km}, k = 0, 1, ... (one small product each, the base carried from
+    group to group), times [S^1 | ... | S^m], a single GEMM of at most
+    SLICE entries (one block when a block alone holds more), and
+    `functional` maps the group's (d*d, n) entries to n values, whose
+    absolute values go into the output for `_log_tail` to turn into
+    log_b|f| once per pass.  The shifted propagator grows at most
+    polynomially, so overflow can only come from extreme Jordan
+    structure; the horizon is then truncated at the first non-finite
+    propagator and reported, and the output cut there.
     """
     d = a.shape[0]
     step_mat = expm(a - r * np.eye(d), grid.step)
@@ -455,20 +475,26 @@ def _stepping_logb(a: np.ndarray, r: float, grid: SamplingGrid, b: int, function
     for _ in range(_POWERS - 1):
         powers.append(powers[-1] @ step_mat)
     side = np.concatenate(powers, axis=1)  # (d, m*d), block j is S^{j+1}
+    span = max(1, SLICE // (_POWERS * d * d)) * _POWERS  # samples per GEMM: at most SLICE entries
     out = grid.empty()
     base = np.eye(d)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for lo, t in grid.passes():
-            nblocks = -(-t.size // _POWERS)
-            bases = np.empty((nblocks, d, d))
-            for k in range(nblocks):
-                bases[k] = base
-                base = base @ powers[-1]
-            prod = bases.reshape(nblocks * d, d) @ side  # [k, i] x [j, l]
-            entries = prod.reshape(nblocks, d, _POWERS, d).transpose(1, 3, 0, 2).reshape(d * d, -1)[:, : t.size]
-            bad = ~np.isfinite(entries).all(axis=0)
-            count = int(np.argmax(bad)) if bad.any() else t.size
-            np.abs(functional(entries[:, :count]), out=out[lo : lo + count])
+            count = t.size
+            for at in range(0, t.size, span):
+                nblocks = -(-min(span, t.size - at) // _POWERS)
+                bases = np.empty((nblocks, d, d))
+                for k in range(nblocks):
+                    bases[k] = base
+                    base = base @ powers[-1]
+                prod = bases.reshape(nblocks * d, d) @ side  # [k, i] x [j, l]
+                entries = prod.reshape(nblocks, d, _POWERS, d).transpose(1, 3, 0, 2).reshape(d * d, -1)[:, : t.size - at]
+                bad = ~np.isfinite(entries).all(axis=0)
+                n = int(np.argmax(bad)) if bad.any() else entries.shape[1]
+                np.abs(functional(entries[:, :n]), out=out[lo + at : lo + at + n])
+                if n < entries.shape[1]:
+                    count = at + n
+                    break
             count = _log_tail(out, lo, t[:count], r, b)
             if count < t.size:
                 return _LogSample(out[: lo + count], truncated_at=float(t[count]))
@@ -516,8 +542,6 @@ class BenfordReport:
     sample_count: int
     thresholds: VerdictThresholds
     truncated_at: float | None = None
-    # downsampled sorted significands for ECDF plot emission; not serialized
-    ecdf_quantiles: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.verdict not in (VERDICT_PASS, VERDICT_FAIL, VERDICT_TRIVIAL):
@@ -571,7 +595,10 @@ def _verdict_from_logb(
     an inconclusive FAIL, with the statistics still reported.
     When the raw values behind `logb` are given, the fractions come
     from them, so values on a digit edge land in that digit.
-    The sorted fractions are written over the front of `logb`.
+    The sorted kept fractions are written over the front of `logb`:
+    after the call, logb[:sample_count - excluded_sample_count] holds
+    them (the `benford` command's ECDF reads them there); the report
+    itself keeps no sample.
 
     The running max is bounded block by block rather than formed per
     sample: a block of _BLOCK samples whose min lies above the running
@@ -647,8 +674,6 @@ def _verdict_from_logb(
     u.sort()
     distance = uniform_distance(u)
     weyl = WeylReport.from_sorted(u, config.weyl_k)
-    stride = max(1, u.size // 512)
-    sig = np.minimum(np.power(float(b), u[stride - 1 :: stride]), math.nextafter(float(b), 1.0))
     floor = weyl.noise_floor(thresholds.weyl_multiplier)
     max_mag = weyl.max_magnitude
     if u.size < MIN_SAMPLES:
@@ -665,7 +690,6 @@ def _verdict_from_logb(
         significand_distance=distance,
         digit_histogram=DigitHistogram(base=b, counts=digit_counts(u, b), zeros=0, total=int(u.size)),
         weyl=weyl,
-        ecdf_quantiles=tuple(sig.tolist()),
         **common,
     )
 
@@ -678,11 +702,20 @@ def benford_verdict(
     Every setting comes from `config` (default RunConfig()); a base b
     or a grid given here takes the place of config's.
     """
+    return _signal_verdict(spec, b, grid, config=config)[0]
+
+
+def _signal_verdict(
+    spec: SignalSpec, b: int | None = None, grid: SamplingGrid | None = None, *, config: RunConfig | None = None
+) -> tuple[BenfordReport, np.ndarray]:
+    """`benford_verdict`'s report and the sorted kept fractions it judged,
+    the front of its log buffer (the `benford` command's ECDF reads them)."""
     config = config or RunConfig()
     b = validate_base(config.base if b is None else b)
     grid = config.grid if grid is None else grid
     sample = sample_log_signal(spec, grid, b)
-    return _verdict_from_logb(sample.values, b, grid.T, grid.step, config, sample.truncated_at)
+    report = _verdict_from_logb(sample.values, b, grid.T, grid.step, config, sample.truncated_at)
+    return report, sample.values[: report.sample_count - report.excluded_sample_count]
 
 
 def benford_report_from_samples(
@@ -690,6 +723,15 @@ def benford_report_from_samples(
 ) -> BenfordReport:
     """Verdict for externally supplied signal values (e.g. CSV data),
     under `config` (default RunConfig()); b, if given, overrides its base."""
+    return _samples_verdict(values, b, config=config)[0]
+
+
+def _samples_verdict(
+    values: Sequence[float] | np.ndarray, b: int | None = None, *, config: RunConfig | None = None
+) -> tuple[BenfordReport, np.ndarray]:
+    """`benford_report_from_samples`'s report and the sorted kept fractions
+    it judged, as `_signal_verdict` returns them.  The log samples are
+    built in one array, beside the values they are read from."""
     config = config or RunConfig()
     b = validate_base(config.base if b is None else b)
     arr = np.asarray(values, dtype=float)
@@ -697,9 +739,12 @@ def benford_report_from_samples(
         raise UsageError(f"need at least {MIN_SAMPLES} samples for a verdict")
     if not np.all(np.isfinite(arr)):
         raise DomainError("signal values must be finite")
+    logb = np.abs(arr)
     with np.errstate(divide="ignore"):
-        logb = np.log(np.abs(arr)) / math.log(b)
-    return _verdict_from_logb(logb, b, float(arr.size), 1.0, config, None, arr)
+        np.log(logb, out=logb)
+    logb /= math.log(b)
+    report = _verdict_from_logb(logb, b, float(arr.size), 1.0, config, None, arr)
+    return report, logb[: report.sample_count - report.excluded_sample_count]
 
 
 def benford_report_from_log_samples(

@@ -35,6 +35,7 @@ from .exactreal import (
     membership_over_monomials,
     mul_symbol,
     span_membership,
+    stock_atom_value,
 )
 from .significand import validate_base
 
@@ -223,6 +224,9 @@ def is_exp_b_nonresonant(zs: Iterable[ExactComplex], b: int) -> ResonanceVerdict
                 "set must be closed under complex conjugation for the "
                 "exponential-resonance criterion to apply"
             )
+    # the criterion brings in pi and ln b, through (ln b / pi) Im w: the
+    # basis extended by them must keep every atom a number of its own
+    basis.extended(**{atom: stock_atom_value(atom) for atom in ("pi", ln_atom(b))})
     assumptions = (basis.assumption(),)
     for group in groups.values():
         z = group[0]

@@ -77,8 +77,12 @@ def digit_law_pmf(b: int = 10) -> np.ndarray:
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 # Samples per pass of every loop over a grid-long array (the samplers'
 # `SamplingGrid.passes()`, exclusion, KS, Weyl cell groups): 256 kB of
-# float64.  The sampler's block lengths `flowsignal._TABLE` and
-# `flowsignal._POWERS` divide it, so every pass but the last is whole
+# float64.  The memory rule it sets: a verdict holds one grid-long array,
+# and no pass temporary holds more than SLICE doubles, norms included (a
+# d x d norm's GEMM and norm run over groups of whole blocks holding at
+# most SLICE entry sums, one block at a time from d = 6, where a block
+# alone holds more).  The sampler's block lengths `flowsignal._TABLE`
+# and `flowsignal._POWERS` divide it, so every pass but the last is whole
 # blocks.  Slice temporaries this small are reused by malloc from pass to
 # pass, where grid-long ones had their pages faulted in afresh on every
 # verdict.  Measured with getrusage on the statistics of a 1e6-sample

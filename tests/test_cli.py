@@ -629,6 +629,19 @@ def rotation_annotation(re: dict, **fields) -> dict:
     return {"matrix": ROTATION, "exact_spectrum": {**fields, "eigenvalues": eigenvalues}}
 
 
+# z = ln 10 under a second name: both annotations below read "resonant": false
+# when z and ln 10 are assumed independent, and both spectra are resonant
+LN10_AS_Z = {"z": 2.302585092994046}
+# z +- i pi, where ln 10 enters through the base only: Re = (ln 10 / pi) Im
+SPIRAL_LN10 = {
+    "matrix": [[LN10_AS_Z["z"], -math.pi], [math.pi, LN10_AS_Z["z"]]],
+    "exact_spectrum": {
+        "symbols": ["z", "pi"], "atoms": LN10_AS_Z,
+        "eigenvalues": [{"re": {"z": "1"}, "im": {"pi": "1"}}, {"re": {"z": "1"}, "im": {"pi": "-1"}}],
+    },
+}
+
+
 @pytest.mark.parametrize(
     "name, content, argv, message",
     [
@@ -652,6 +665,9 @@ def rotation_annotation(re: dict, **fields) -> dict:
          "atom 'ln1' needs a numeric value"),
         ("m.json", rotation_annotation({"z^-1": "1"}, symbols=["z^-1"], atoms={"z": 0}), ["analyze-matrix", "{}"],
          "atom 'z' has the value 0"),
+        ("m.json", rotation_annotation({"ln10": "1", "z": "-1"}, symbols=["ln10", "z"], atoms=LN10_AS_Z),
+         ["analyze-matrix", "{}"], "atoms 'ln10' and 'z' have the same value 2.302585092994046"),
+        ("m.json", SPIRAL_LN10, ["analyze-matrix", "{}"], "atoms 'ln10' and 'z' have the same value 2.302585092994046"),
         ("s.csv", "1\n2\n", ["benford", "--signal-csv", "{}"], "line 1: expected two columns"),
         ("s.csv", "t,value\n", ["benford", "--signal-csv", "{}"], "no data rows"),
         ("s.csv", "".join(f"{i},{'nan' if i == 7 else 1.5}\n" for i in range(200)), ["benford", "--signal-csv", "{}"],
@@ -667,6 +683,7 @@ def rotation_annotation(re: dict, **fields) -> dict:
         "config-step-above-horizon", "config-weyl_k-0", "config-format-xml", "config-list", "config-thresholds-int",
         "matrix-no-key", "matrix-str-entry", "matrix-csv-str-entry", "matrix-csv-ragged", "benford-matrix-csv-ragged",
         "annotation-ln1", "annotation-ln010", "annotation-ln1-inverse", "annotation-zero-atom",
+        "annotation-atom-equal-to-a-stock-atom", "annotation-atom-equal-to-ln-b",
         "signal-one-column", "signal-header-only",
         "signal-nan", "annotation-pi**2", "annotation-eigenvalue-int", "annotation-re-int",
     ],

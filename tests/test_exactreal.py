@@ -72,6 +72,14 @@ class TestStockAtoms:
         # ln1 = 0, and ln010 would be a second atom for ln10: neither is independent
         assert stock_atom_value(atom) is None
 
+    def test_two_atoms_of_one_value_are_a_usage_error(self):
+        basis = SymbolBasis.default(10)
+        with pytest.raises(UsageError, match="atoms 'ln10' and 'z' have the same value"):
+            basis.extended(Monomial.of(z=1), z=math.log(10))
+        with pytest.raises(UsageError, match="atoms 'c' and 'pi' have the same value"):
+            basis.extended(c=math.pi)
+        assert basis.extended(z=2 * math.log(10)).atoms["z"] == 2 * math.log(10)
+
 
 class TestExactRealArithmetic:
     def setup_method(self):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from benflow import resonance
 from benflow.errors import UsageError
-from benflow.exactreal import ExactComplex, ExactReal, Monomial, PI, SymbolBasis, exact_log_base
+from benflow.exactreal import ONE, PI, ExactComplex, ExactReal, Monomial, SymbolBasis, exact_log_base
 from benflow.resonance import (
     ShellPoint,
     argument_difference_set,
@@ -104,6 +104,16 @@ class TestExponentialNonresonance:
         b2 = SymbolBasis.default(2)
         with pytest.raises(UsageError):
             is_exp_b_nonresonant(scalar_set(b10, 1) + scalar_set(b2, 2), 10)
+
+    def test_an_atom_equal_to_ln_b_is_a_usage_error(self):
+        # z +- i pi with z = ln 10 is resonant in base 10, Re = (ln 10 / pi) Im,
+        # where ln 10 enters through the base only
+        z = Monomial.of(z=1)
+        basis = SymbolBasis(symbols=(ONE,), atom_values=(("pi", math.pi), ("z", LN10))).extended(z, PI)
+        pair = [ExactComplex(basis.term(z), basis.term(PI, sign)) for sign in (1, -1)]
+        with pytest.raises(UsageError, match="atoms 'ln10' and 'z' have the same value"):
+            is_exp_b_nonresonant(pair, 10)
+        assert not is_exp_b_nonresonant(pair, 8).resonant  # ln 10 / ln 8 is irrational
 
     def test_empty_set_exponentially_resonant(self):
         verdict = is_exp_b_nonresonant([], 10)

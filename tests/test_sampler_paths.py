@@ -16,6 +16,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from benflow import flowsignal
 from benflow.errors import UsageError
 from benflow.flowsignal import (
     NormOnFlow,
@@ -147,9 +148,13 @@ def test_path_matches_60_digit_reference(label, spec, grid, bound):
 
 # 200,500 samples: six whole passes of SLICE samples and a partial seventh
 BOUNDARY_GRID = SamplingGrid(T=20.05, step=1e-4)
-# either side of the first table block edge (1024) and of the first pass edge
-# (SLICE), three samples around 200,000, and the last sample
-BOUNDARY_INDICES = [1022, 1023, 1024, 1025, SLICE - 1, SLICE, SLICE + 1, 199_999, 200_000, 200_001, 200_499]
+# either side of the first table block edge (1024), of the first GEMM group
+# edge of a 4x4, 3x3 and 2x2 norm (2, 3 and 8 blocks: at most SLICE sums) and
+# of the first pass edge (SLICE), three samples around 200,000, and the last sample
+BOUNDARY_INDICES = [
+    1022, 1023, 1024, 1025, 2047, 2048, 3071, 3072, 8191, 8192,
+    SLICE - 1, SLICE, SLICE + 1, 199_999, 200_000, 200_001, 200_499,
+]
 BOUNDARY_CASES = [
     ("real mode", ObservableOnFlow(np.array([[0.7]]), Observable(np.array([[1.5]])))),
     # a lone real mode has mu = lambda - r = 0, so only here do real factors vary
@@ -274,6 +279,21 @@ def stepping_reference(a: np.ndarray, grid: SamplingGrid, entry: tuple[int, int]
                 return np.array(values) + r * np.asarray(grid.times()[: len(values)]) / LN10, float(t)
             values.append(math.log10(abs(current[entry])))
     return np.array(values) + r * grid.times() / LN10, None
+
+
+@pytest.mark.parametrize(
+    "label, spec",
+    [c for c in BOUNDARY_CASES if isinstance(c[1], NormOnFlow)] + [(c[0], c[1]) for c in CASES if "stepping" in c[0]],
+    ids=[c[0] for c in BOUNDARY_CASES if isinstance(c[1], NormOnFlow)] + [c[0] for c in CASES if "stepping" in c[0]],
+)
+def test_gemm_groups_move_no_bit(label, spec, monkeypatch):
+    # A norm's (and the stepping path's) GEMM runs over groups of whole blocks
+    # holding at most SLICE sums; each sum is the same dot product whatever
+    # the group, so the samples equal those of one GEMM per pass bit for bit.
+    grid = SamplingGrid(T=7.0, step=1e-4)  # two whole passes and a partial third
+    grouped = sample_log_signal(spec, grid, 10).values
+    monkeypatch.setattr(flowsignal, "SLICE", 64 * SLICE)  # every group a whole pass
+    assert np.array_equal(sample_log_signal(spec, grid, 10).values, grouped)
 
 
 class TestSteppingTruncation:

@@ -13,12 +13,14 @@ is checked bit for bit against the per-sample rule run one sample at a
 time.
 """
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from benflow import flowsignal
+from benflow.cli import _ecdf_significands
 from benflow.config import RunConfig
 from benflow.demos import ex_3_5_log_fixtures, frobenius_example_generator
 from benflow.errors import UsageError
@@ -28,6 +30,8 @@ from benflow.flowsignal import (
     Observable,
     ObservableOnFlow,
     Synthetic,
+    _samples_verdict,
+    _signal_verdict,
     _verdict_from_logb,
     benford_report_from_log_samples,
     benford_report_from_samples,
@@ -164,9 +168,9 @@ def test_constant_signal_tiny_negative_logs():
     logb = sample_log_signal(spec, grid, 10).values
     assert np.any(logb - np.floor(logb) == 1.0)
     assert fractions_of_logs(logb).max() < 1.0
-    report = benford_verdict(spec, 10, grid, config=CONFIG)
+    report, u = _signal_verdict(spec, 10, grid, config=CONFIG)
     assert_matches_route(report, logb)
-    assert max(report.ecdf_quantiles) < 10.0
+    assert max(_ecdf_significands(u, 10)) < 10.0
     tiny_negative = int(np.count_nonzero(logb < 0))
     assert report.digit_histogram.counts[9] == tiny_negative
 
@@ -302,13 +306,24 @@ def whole_array_report(logb: np.ndarray, b: int, raw: np.ndarray | None = None) 
     }
 
 
-def assert_bit_equal(report, logb: np.ndarray, raw: np.ndarray | None = None) -> None:
+def assert_bit_equal(report, u: np.ndarray, logb: np.ndarray, raw: np.ndarray | None = None) -> None:
+    """`report` and the CLI's ECDF significands of the sorted kept
+    fractions u against the whole-array statistics of logb (or raw)."""
     ref = whole_array_report(logb, report.base, raw)
     assert report.excluded_sample_count == ref["excluded"]
     assert report.significand_distance == ref["distance"]
     assert report.digit_histogram.counts == ref["digits"]
     assert report.weyl.magnitudes == ref["weyl"]
-    assert report.ecdf_quantiles == ref["quantiles"]
+    assert tuple(_ecdf_significands(u, report.base).tolist()) == ref["quantiles"]
+
+
+def judged_logs(logb: np.ndarray, b: int = 10) -> tuple:
+    """`benford_report_from_log_samples`'s report, and the sorted kept
+    fractions that `_verdict_from_logb` leaves at the front of its buffer."""
+    report = benford_report_from_log_samples(logb, b, config=CONFIG)
+    buf = logb.copy()
+    assert _verdict_from_logb(buf, b, float(logb.size), 1.0, CONFIG, None) == report
+    return report, buf[: report.sample_count - report.excluded_sample_count]
 
 
 def growing_logs(n: int, seed: int) -> np.ndarray:
@@ -322,9 +337,9 @@ def growing_logs(n: int, seed: int) -> np.ndarray:
 @pytest.mark.parametrize("n", [SLICE - 1, SLICE, SLICE + 1, 3 * SLICE + 1])
 def test_slice_counts_match_whole_arrays(n):
     logb = growing_logs(n, n)
-    report = benford_report_from_log_samples(logb, 10, config=CONFIG)
+    report, u = judged_logs(logb)
     assert 0 < report.excluded_sample_count < n
-    assert_bit_equal(report, logb)
+    assert_bit_equal(report, u, logb)
 
 
 def test_running_max_carries_across_slices():
@@ -333,9 +348,9 @@ def test_running_max_carries_across_slices():
     logb[SLICE : SLICE + 40] = 80.0  # ... that excludes the next slice's first samples
     logb[SLICE + 40 : SLICE + 60] = 95.0  # kept again: 95 > 100 - 13
     logb[SLICE + 60 : 2 * SLICE] = 50.0
-    report = benford_report_from_log_samples(logb, 10, config=CONFIG)
+    report, u = judged_logs(logb)
     assert report.excluded_sample_count >= SLICE - 20
-    assert_bit_equal(report, logb)
+    assert_bit_equal(report, u, logb)
 
 
 def test_zero_runs_across_slices_and_a_slice_excluded_whole():
@@ -343,9 +358,9 @@ def test_zero_runs_across_slices_and_a_slice_excluded_whole():
     logb[SLICE - 10 : SLICE + 10] = -np.inf  # exact zeros across a slice edge
     logb[2 * SLICE : 3 * SLICE] = -np.inf  # a slice with no kept sample
     logb[3 * SLICE : 3 * SLICE + 5] = -np.inf
-    report = benford_report_from_log_samples(logb, 10, config=CONFIG)
+    report, u = judged_logs(logb)
     assert report.excluded_sample_count >= SLICE + 25
-    assert_bit_equal(report, logb)
+    assert_bit_equal(report, u, logb)
 
 
 @pytest.mark.parametrize("at", [SLICE, SLICE - 1, 2 * SLICE - 1, 2 * SLICE])
@@ -384,10 +399,10 @@ def test_near_constant_signal_matches_whole_arrays():
     spec = ObservableOnFlow(np.array([[1.0, 1.0], [1.0, 1.0]]), Observable(np.array([[1.0, -1.0], [0.0, 0.0]])))
     grid = SamplingGrid(T=370.0, step=0.005)
     logb = sample_log_signal(spec, grid, 10).values
-    report = benford_verdict(spec, 10, grid, config=CONFIG)
+    report, u = _signal_verdict(spec, 10, grid, config=CONFIG)
     assert report.excluded_sample_count == 0
     assert max(report.digit_histogram.counts.values()) > SLICE
-    assert_bit_equal(report, logb)
+    assert_bit_equal(report, u, logb)
 
 
 @pytest.mark.parametrize("b", [2, 10])
@@ -396,28 +411,40 @@ def test_raw_digit_edges_match_whole_arrays(b):
     raw = np.tile(values, -(-2 * SLICE // values.size) + 1)
     raw[SLICE : SLICE + 7] = 0.0  # exact zeros across a slice edge
     raw[SLICE + 7 : SLICE + 90] *= 1e-15  # excluded by the running max
-    report = benford_report_from_samples(raw, b, config=CONFIG)
+    report, u = _samples_verdict(raw, b, config=CONFIG)
     with np.errstate(divide="ignore"):
         logb = np.log(np.abs(raw)) / math.log(b)
     assert report.excluded_sample_count > 7
-    assert_bit_equal(report, logb, raw)
+    assert_bit_equal(report, u, logb, raw)
 
 
-def test_verdict_and_sampler_allocate_no_grid_long_temporaries():
-    # Every sampler makes one pass of SLICE samples at a time, so beyond its
-    # output it holds only pass-sized temporaries (a 3x3 or 4x4 norm reads
-    # 9 or 16 rows of sums per pass); the verdict writes its fractions over
-    # the log samples, so it allocates no grid-long array at all.
+def memory_cases() -> dict:
+    """Signals whose verdicts are checked against allocation bounds."""
     s, b = block_parts(23, [("spiral", 1.0, 2.0), ("real", 0.4)])
     c = np.random.default_rng(24).standard_normal(b.shape)
     norm_grid = SamplingGrid(T=2e3, step=1e-2)  # 2e5 samples
-    cases = {
+    return {
         "eigen observable 1e6": (ObservableOnFlow(s @ b @ np.linalg.inv(s), Observable(c)), CONFIG.grid),
         "3x3 spectral 2e5": (NormOnFlow(block_generator(4, SPIRAL3), "spectral"), norm_grid),
         "4x4 frobenius 2e5": (NormOnFlow(block_generator(7, SPIRAL4), "frobenius"), norm_grid),
         "synthetic 1e6": (Synthetic(0.5, 1, ((1.0, 1.0), (2.3, 0.5))), CONFIG.grid),
     }
-    for label, (spec, grid) in cases.items():
+
+
+def traced_peak(run) -> tuple:
+    """run()'s result and the peak of the memory it traced (numpy data included)."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_verdict_and_sampler_allocate_no_grid_long_temporaries():
+    # Every sampler makes one pass of SLICE samples at a time, so beyond its
+    # output it holds only pass-sized temporaries; the verdict writes its
+    # fractions over the log samples, so it allocates no grid-long array at all.
+    for label, (spec, grid) in memory_cases().items():
         tracemalloc.start()
         try:
             logb = sample_log_signal(spec, grid, 10).values
@@ -431,6 +458,27 @@ def test_verdict_and_sampler_allocate_no_grid_long_temporaries():
         assert logb.size == grid.count, label
         assert sampling_peak - logb.nbytes <= 12 * 2**20, label
         assert verdict_peak <= 4 * 2**20, label
+
+
+@pytest.mark.parametrize("label", ["eigen observable 1e6", "3x3 spectral 2e5", "4x4 frobenius 2e5"])
+def test_a_verdict_peaks_at_its_grid_buffer_and_keeps_no_sample(label):
+    # The grid buffer is the one grid-long array; a norm's GEMM and norm run
+    # over groups of whole blocks holding at most SLICE sums (a 4x4 norm's 16
+    # rows of a whole pass would be 4 MiB), so every other temporary is a
+    # pass's worth at most.  The report keeps no sample: it pickles small.
+    spec, grid = memory_cases()[label]
+    benford_verdict(spec, 10, grid, config=CONFIG)  # first-call allocations are not the verdict's
+    report, peak = traced_peak(lambda: benford_verdict(spec, 10, grid, config=CONFIG))
+    assert peak <= 8 * grid.count + 1.5 * 2**20
+    assert len(pickle.dumps(report)) < 1024
+
+
+def test_samples_verdict_holds_one_log_array_beside_the_values():
+    # abs, log and the division by ln b go into one array
+    values = np.random.default_rng(5).standard_normal(10**6) * 1e3
+    benford_report_from_samples(values, config=CONFIG)
+    _, peak = traced_peak(lambda: benford_report_from_samples(values, config=CONFIG))
+    assert peak <= values.nbytes + 2.5 * 2**20
 
 
 # ---------------------------------------------------------------------------
