@@ -16,7 +16,7 @@ Annotation schema:
       "matrix": [[...], ...],
       "exact_spectrum": {
         "symbols": ["pi", "ln10", "pi*ln10^-1"],
-        "atoms": {"myconst": 1.234},            # only for non-stock atoms
+        "atoms": {"myconst": 1.234},            # stock atoms are valued by name
         "eigenvalues": [
           {"re": {"1": "1"}, "im": {"pi*ln10^-1": "2"}},
           ...
@@ -26,8 +26,11 @@ Annotation schema:
 
 Symbols are monomial labels: atom names joined by '*', each optionally
 carrying an integer '^exponent'.  Stock atoms are "pi" and "ln<n>" for
-n >= 2; anything else needs a nonzero value in "atoms", and no two
-atoms may share a value (`SymbolBasis` refuses it).  Coordinates
+n >= 2, valued by name: one declared in "atoms" with a different value
+is refused.  Anything else needs a nonzero value in "atoms", and no two
+atoms may share a value (`SymbolBasis` values every atom and refuses
+both).  Every "atoms" entry must be a finite number, used or not; only
+the entries of atoms that appear in "symbols" reach the basis.  Coordinates
 map symbol labels to rationals written as integers or "p/q" strings.
 """
 from __future__ import annotations
@@ -44,7 +47,7 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import UsageError
-from .exactreal import ExactComplex, ExactReal, Monomial, ONE, SymbolBasis, stock_atom_value
+from .exactreal import ExactComplex, ExactReal, Monomial, ONE, SymbolBasis
 
 
 def parse_monomial_label(label: str) -> Monomial:
@@ -89,19 +92,11 @@ def parse_exact_spectrum(annotation: dict) -> list[ExactComplex]:
     if not isinstance(atoms, dict):
         raise UsageError(f"exact_spectrum 'atoms' must be an object of atom values, got {atoms!r}")
     declared = {atom: _finite_float(f"exact_spectrum atom {atom!r}", raw) for atom, raw in atoms.items()}
-    atom_values: dict[str, float] = {}
-    for mono in monomials:
-        for atom, _ in mono.powers:
-            if atom in atom_values:
-                continue
-            value = declared.get(atom, stock_atom_value(atom))
-            if value is None:
-                raise UsageError(f"atom {atom!r} needs a numeric value in 'atoms'")
-            if value == 0:
-                raise UsageError(f"atom {atom!r} has the value 0; an atom must be nonzero")
-            atom_values[atom] = value
-    basis = SymbolBasis(symbols=(ONE,), atom_values=tuple(sorted(atom_values.items())))
-    basis = basis.extended(*monomials)
+    used = {atom for mono in monomials for atom, _ in mono.powers}
+    basis = SymbolBasis(
+        symbols=tuple(dict.fromkeys([ONE, *monomials])),
+        atom_values=tuple((atom, value) for atom, value in declared.items() if atom in used),
+    )
 
     def coords(obj) -> ExactReal:
         if not isinstance(obj, dict):

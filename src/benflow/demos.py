@@ -82,7 +82,7 @@ def resonant_spiral_set(b: int) -> list[ExactComplex]:
 def three_mode_set(b: int) -> list[ExactComplex]:
     """{1 +- i pi, ln 10 - 1/2} over the default symbols {1, pi, ln b} and ln10."""
     ln10 = Monomial.of(ln10=1)
-    basis = SymbolBasis.default(b).extended(ln10, ln10=_LN10)
+    basis = SymbolBasis.default(b).extended(ln10)
     z = ExactComplex(basis.rational(1), basis.term(PI, 1))
     alpha = basis.rational(Fraction(-1, 2)) + basis.term(ln10, 1)
     return [z, z.conjugate(), ExactComplex(alpha, basis.zero())]

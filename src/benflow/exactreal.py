@@ -92,18 +92,33 @@ class SymbolBasis:
 
     The symbols are declared jointly Q-linearly independent; the
     declaration is recorded by `assumption()` and surfaced in verdicts.
-    Two atoms with one value are one number under two names, which that
-    declaration would contradict: a usage error.
+    Every atom is valued here: a stock atom by its name, any other by
+    its declared nonzero value.  A stock atom declared with another
+    value, or two atoms of one value, would contradict that declaration:
+    a usage error.  `atom_values` ends up holding every atom, sorted.
     """
 
     symbols: tuple[Monomial, ...]
-    atom_values: tuple[tuple[str, float], ...]
+    atom_values: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self):
         if not self.symbols or self.symbols[0] != ONE:
             raise UsageError("first basis symbol must be the constant 1")
         if len(set(self.symbols)) != len(self.symbols):
             raise UsageError("basis symbols must be unique")
+        declared = dict(self.atom_values)
+        values: dict[str, float] = {}
+        for atom in dict.fromkeys([*(a for m in self.symbols for a, _ in m.powers), *declared]):
+            stock = stock_atom_value(atom)
+            value = declared.get(atom, stock)
+            if value is None:
+                raise UsageError(f"atom {atom!r} needs a numeric value in 'atoms'")
+            if value == 0:
+                raise UsageError(f"atom {atom!r} has the value 0; an atom must be nonzero")
+            if stock is not None and value != stock:
+                raise UsageError(f"stock atom {atom!r} is {stock!r} by its name; it cannot be declared as {value!r}")
+            values[atom] = value
+        object.__setattr__(self, "atom_values", tuple(sorted(values.items())))
         names: dict[float, str] = {}
         for atom, value in self.atom_values:
             if value in names:
@@ -116,11 +131,7 @@ class SymbolBasis:
     @classmethod
     def default(cls, b: int) -> "SymbolBasis":
         """The basis {1, pi, ln b} used by every stock example."""
-        lb = ln_atom(b)
-        return cls(
-            symbols=(ONE, PI, Monomial.of(**{lb: 1})),
-            atom_values=tuple((atom, stock_atom_value(atom)) for atom in ("pi", lb)),
-        )
+        return cls(symbols=(ONE, PI, Monomial.of(**{ln_atom(b): 1})))
 
     @property
     def atoms(self) -> dict[str, float]:
@@ -137,7 +148,7 @@ class SymbolBasis:
         for m in monomials:
             if m not in symbols:
                 symbols.append(m)
-        return SymbolBasis(symbols=tuple(symbols), atom_values=tuple(sorted(atoms.items())))
+        return SymbolBasis(symbols=tuple(symbols), atom_values=tuple(atoms.items()))
 
     def index_of(self, symbol: Monomial) -> int:
         try:
@@ -152,17 +163,13 @@ class SymbolBasis:
     # -- constructors ------------------------------------------------
 
     def zero(self) -> "ExactReal":
-        return ExactReal(self, (Fraction(0),) * len(self.symbols))
+        return self.combination({})
 
     def rational(self, q: Rational) -> "ExactReal":
-        coords = [Fraction(q)] + [Fraction(0)] * (len(self.symbols) - 1)
-        return ExactReal(self, tuple(coords))
+        return self.combination({ONE: q})
 
     def term(self, symbol: Monomial, coeff: Rational = 1) -> "ExactReal":
-        i = self.index_of(symbol)
-        coords = [Fraction(0)] * len(self.symbols)
-        coords[i] = Fraction(coeff)
-        return ExactReal(self, tuple(coords))
+        return self.combination({symbol: coeff})
 
     def combination(self, terms: Mapping[Monomial, Rational]) -> "ExactReal":
         coords = [Fraction(0)] * len(self.symbols)
@@ -262,46 +269,6 @@ class ExactComplex:
 # -- exact linear algebra over the rationals ------------------------------
 
 
-def solve_rational_system(
-    columns: Sequence[Sequence[Fraction]], target: Sequence[Fraction]
-) -> list[Fraction] | None:
-    """Solve sum_j c_j * columns[j] = target exactly, or report no solution.
-
-    Plain fraction-free-enough Gaussian elimination with partial
-    structure: pivots are the first nonzero entry per row.  Free
-    variables are set to zero, so the returned combination is the one a
-    deterministic elimination order produces.
-    """
-    n_rows = len(target)
-    n_cols = len(columns)
-    aug = [[Fraction(columns[j][i]) for j in range(n_cols)] + [Fraction(target[i])] for i in range(n_rows)]
-    pivot_cols: list[int] = []
-    row = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(row, n_rows) if aug[r][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        pv = aug[row][col]
-        aug[row] = [x / pv for x in aug[row]]
-        for r in range(n_rows):
-            if r != row and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[row])]
-        pivot_cols.append(col)
-        row += 1
-        if row == n_rows:
-            break
-    # consistency: rows with all-zero coefficients must have zero RHS
-    for r in range(n_rows):
-        if all(aug[r][c] == 0 for c in range(n_cols)) and aug[r][n_cols] != 0:
-            return None
-    solution = [Fraction(0)] * n_cols
-    for r, col in enumerate(pivot_cols):
-        solution[col] = aug[r][n_cols]
-    return solution
-
-
 def span_membership(
     target: ExactReal, generators: Iterable[ExactReal]
 ) -> list[Fraction] | None:
@@ -321,10 +288,34 @@ def membership_over_monomials(
     target: Mapping[Monomial, Fraction], generators: Sequence[Mapping[Monomial, Fraction]]
 ) -> list[Fraction] | None:
     """Rational coefficients writing target over the generators, if any,
-    all given as sparse monomial dicts (rows: the union of supports)."""
+    all given as sparse monomial dicts.
+
+    Gauss-Jordan elimination on one row per monomial of the union of
+    supports, in sorted order, augmented by the target: the pivot of a
+    generator's column is its first nonzero row not yet taken, and free
+    generators get coefficient zero, so the combination returned is the
+    one this deterministic order produces.
+    """
     axis = sorted({*target, *(m for g in generators for m in g)})
-    cols = [[Fraction(g.get(m, 0)) for m in axis] for g in generators]
-    return solve_rational_system(cols, [Fraction(target.get(m, 0)) for m in axis])
+    rows = [[Fraction(g.get(m, 0)) for g in generators] + [Fraction(target.get(m, 0))] for m in axis]
+    pivots: list[int] = []
+    for col in range(len(generators)):
+        top = len(pivots)
+        pivot = next((r for r in range(top, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[top], rows[pivot] = rows[pivot], rows[top]
+        rows[top] = [x / rows[top][col] for x in rows[top]]
+        for r, row in enumerate(rows):
+            if r != top and row[col] != 0:
+                rows[r] = [x - row[col] * y for x, y in zip(row, rows[top])]
+        pivots.append(col)
+    if any(row[-1] != 0 and not any(row[:-1]) for row in rows):
+        return None  # a monomial the generators cannot reach
+    solution = [Fraction(0)] * len(generators)
+    for r, col in enumerate(pivots):
+        solution[col] = rows[r][-1]
+    return solution
 
 
 def mul_symbol(terms: Mapping[Monomial, Fraction], factor: Monomial) -> dict[Monomial, Fraction]:

@@ -31,11 +31,11 @@ from .exactreal import (
     ExactComplex,
     ExactReal,
     Monomial,
+    SymbolBasis,
     ln_atom,
     membership_over_monomials,
     mul_symbol,
     span_membership,
-    stock_atom_value,
 )
 from .significand import validate_base
 
@@ -226,7 +226,7 @@ def is_exp_b_nonresonant(zs: Iterable[ExactComplex], b: int) -> ResonanceVerdict
             )
     # the criterion brings in pi and ln b, through (ln b / pi) Im w: the
     # basis extended by them must keep every atom a number of its own
-    basis.extended(**{atom: stock_atom_value(atom) for atom in ("pi", ln_atom(b))})
+    basis.extended(*SymbolBasis.default(b).symbols)
     assumptions = (basis.assumption(),)
     for group in groups.values():
         z = group[0]

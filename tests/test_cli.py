@@ -668,6 +668,9 @@ SPIRAL_LN10 = {
         ("m.json", rotation_annotation({"ln10": "1", "z": "-1"}, symbols=["ln10", "z"], atoms=LN10_AS_Z),
          ["analyze-matrix", "{}"], "atoms 'ln10' and 'z' have the same value 2.302585092994046"),
         ("m.json", SPIRAL_LN10, ["analyze-matrix", "{}"], "atoms 'ln10' and 'z' have the same value 2.302585092994046"),
+        # ln2 is valued by its name: declared as 5, re = ln2 - 5 would read nonzero and +-2i nonresonant
+        ("m.json", rotation_annotation({"ln2": "1", "1": "-5"}, symbols=["ln2"], atoms={"ln2": 5}),
+         ["analyze-matrix", "{}"], "stock atom 'ln2' is 0.6931471805599453 by its name"),
         ("s.csv", "1\n2\n", ["benford", "--signal-csv", "{}"], "line 1: expected two columns"),
         ("s.csv", "t,value\n", ["benford", "--signal-csv", "{}"], "no data rows"),
         ("s.csv", "".join(f"{i},{'nan' if i == 7 else 1.5}\n" for i in range(200)), ["benford", "--signal-csv", "{}"],
@@ -683,7 +686,7 @@ SPIRAL_LN10 = {
         "config-step-above-horizon", "config-weyl_k-0", "config-format-xml", "config-list", "config-thresholds-int",
         "matrix-no-key", "matrix-str-entry", "matrix-csv-str-entry", "matrix-csv-ragged", "benford-matrix-csv-ragged",
         "annotation-ln1", "annotation-ln010", "annotation-ln1-inverse", "annotation-zero-atom",
-        "annotation-atom-equal-to-a-stock-atom", "annotation-atom-equal-to-ln-b",
+        "annotation-atom-equal-to-a-stock-atom", "annotation-atom-equal-to-ln-b", "annotation-stock-atom-redeclared",
         "signal-one-column", "signal-header-only",
         "signal-nan", "annotation-pi**2", "annotation-eigenvalue-int", "annotation-re-int",
     ],
@@ -695,6 +698,14 @@ def test_refused_input_exit_2(capsys, tmp_path, name, content, argv, message):
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+def test_real_rank_branch_note_is_reported(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, -3e-8], [0, 0, 3e-8, 1]]))
+    code, out, _ = run_cli(capsys, "analyze-matrix", str(path))
+    assert code == EXIT_OK
+    assert json.loads(out)["notes"] == ["eigenvalue (1+0j): real rank branch chosen with |Im| <= 2e-08"]
 
 
 def test_rotation_without_atoms_is_resonant(capsys, tmp_path):

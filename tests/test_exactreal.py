@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from benflow.dataio import parse_exact_spectrum
 from benflow.errors import MixedBasisError, UsageError
 from benflow.exactreal import (
     ExactComplex,
@@ -79,6 +80,27 @@ class TestStockAtoms:
         with pytest.raises(UsageError, match="atoms 'c' and 'pi' have the same value"):
             basis.extended(c=math.pi)
         assert basis.extended(z=2 * math.log(10)).atoms["z"] == 2 * math.log(10)
+
+    def test_a_stock_atom_is_valued_by_its_name(self):
+        # ln2 declared as 5 would make ln2 - 5 a zero real part the engine reads as nonzero
+        ln2_as_5 = {"symbols": ["ln2"], "atoms": {"ln2": 5}, "eigenvalues": [
+            {"re": {"ln2": "1", "1": "-5"}, "im": {"1": s}} for s in ("2", "-2")]}
+        with pytest.raises(UsageError, match="stock atom 'ln2' is 0.6931471805599453 by its name; it cannot be declared as 5.0"):
+            parse_exact_spectrum(ln2_as_5)
+        with pytest.raises(UsageError, match="stock atom 'pi'"):
+            SymbolBasis(symbols=(ONE, PI), atom_values=(("pi", 3.0),))
+        # declared with its own value, a stock atom stays accepted
+        own = parse_exact_spectrum({"symbols": ["pi"], "atoms": {"pi": 3.141592653589793}, "eigenvalues": [
+            {"re": {"1": "1"}, "im": {"pi": s}} for s in ("1", "-1")]})
+        assert own[0].basis == SymbolBasis(symbols=(ONE, PI)) and own[0].value() == 1 + math.pi * 1j
+
+    def test_every_atom_of_a_symbol_is_valued(self):
+        basis = SymbolBasis(symbols=(ONE, Monomial.of(pi=1, ln2=-1)))
+        assert basis.atom_values == (("ln2", math.log(2)), ("pi", math.pi))
+        with pytest.raises(UsageError, match="atom 'z' needs a numeric value"):
+            basis.extended(Monomial.of(z=1))
+        with pytest.raises(UsageError, match="atom 'z' has the value 0"):
+            basis.extended(Monomial.of(z=1), z=0.0)
 
 
 class TestExactRealArithmetic:

@@ -152,6 +152,19 @@ def test_caller_scan_catches_a_planted_uncalled_definition():
     assert uncalled_definitions(package_sources() + [planted]) == deliberate_public_api() | {"unused_helper"}
 
 
+def stock_value_readers(sources: dict[str, str]) -> set[str]:
+    """The modules that read `stock_atom_value`, by name or as an attribute."""
+    return {name for name, source in sources.items() if "stock_atom_value" in referenced_names(ast.parse(source))}
+
+
+def test_stock_atoms_are_valued_only_in_exactreal():
+    # SymbolBasis is the one place an atom gets its value
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert stock_value_readers(sources) == {"exactreal"}
+    planted = {"dataio": "from . import exactreal\nvalue = exactreal.stock_atom_value('pi')\n"}
+    assert stock_value_readers(sources | planted) == {"exactreal", "dataio"}
+
+
 # Every public name of benflow; each must keep resolving.
 EXPORTED = (
     "RunConfig Tolerances VerdictThresholds ExactComplex ExactReal Monomial SymbolBasis exact_log_base "

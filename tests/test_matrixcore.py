@@ -21,6 +21,8 @@ from helpers import double_real_eigenvalue_6x6
 
 RANK_ONE = np.array([[1.0, 1.0], [1.0, 1.0]])
 ROT = np.array([[0.1, -1.0], [1.0, 0.1]])  # eigenvalues 0.1 +- i
+# a double real 1 beside the pair 1 +- 3e-8 i
+NEAR_REAL_BRANCH = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, -3e-8], [0, 0, 3e-8, 1]], dtype=float)
 # the singular matrices of this ensemble whose double eigenvalue 0 eig splits
 INT3 = EnsembleSpec(d=3, distribution="int3", N=2000, seed=7)
 SINGULAR_INT3 = (415, 497, 1149, 1988)
@@ -189,6 +191,13 @@ class TestSpectrum:
         points = spectrum(a).points
         assert [(q.z, q.m) for q in points] == [(1 + 0j, 2)]
         assert points[0].z.imag == 0.0
+
+    def test_real_rank_branch_is_noted(self):
+        # the double real 1 and the pair 1 +- 3e-8 i lie within 2 thr of each
+        # other: the real point takes the real rank branch, and says so
+        info = spectrum(NEAR_REAL_BRANCH)
+        assert [(p.z, p.m, p.k) for p in info.points] == [(1 - 3e-8j, 1, 0), (1 + 0j, 2, 0), (1 + 3e-8j, 1, 0)]
+        assert info.notes == ("eigenvalue (1+0j): real rank branch chosen with |Im| <= 2e-08",)
 
     def test_split_jordan_block_is_one_defective_point(self):
         # dgeev splits the Jordan block at 2 into 2 +- 6.4e-8 i: more than thr
