@@ -20,7 +20,20 @@ groups of whole cells) run over slices of SLICE samples, and the
 samplers over passes of SLICE grid times, a norm's entry sums over
 groups of whole blocks within a pass; those temporaries stay in cache
 and reuse the same pages.  A report costs O(b + K) numbers whatever
-the grid.  Exclusion
+the grid.
+
+A verdict of at least 2 SLICE samples runs three stages in two halves
+at once, the second on one short-lived helper thread (`_in_parallel`,
+and only where the process may use a second CPU): an observable's or a
+synthetic's sampler passes (the first floor(passes / 2) inline), the
+sort (a partition at the middle, then each side), and the statistics
+(the Weyl sums inline, the KS distance on the helper).  The halves are
+fixed by the input, so the output is the same bits with or without the
+helper.  The memory rule holds for both halves together: they stay
+within one serial pass's budget, as each sampler half holds only its
+grid times and one pass-long buffer (`_log_tail` scales the times in
+place) and the KS distance holds half a pass.  Norms and stepping stay
+serial.  Exclusion
 compares each sample with the running max of |f|, carried from slice to
 slice, but bounds it block by block: a block whose min lies above the
 running max of the block maxima at its end plus the cutoff is kept
@@ -65,9 +78,12 @@ first non-finite propagator.
 """
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -284,6 +300,52 @@ def build_observable_for_modes(a: np.ndarray, modes: Sequence[complex], weights:
 
 
 # ---------------------------------------------------------------------------
+# two halves of a verdict at once
+
+
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _in_parallel(first: Callable, second: Callable) -> tuple:
+    """(first(), second()): `second` runs on one short-lived helper thread,
+    in a copy of the caller's context (so the caller's `np.errstate` holds
+    there too), while `first` runs inline.  The helper is joined before
+    this returns or raises; an exception from `first` wins over one from
+    `second`, which is raised otherwise.  A process that may use only one
+    CPU runs both inline, in order.
+
+    Verdicts split only long numpy calls this way (half a grid's passes,
+    half a sort, the KS distance beside the Weyl sums), which release the
+    GIL for long enough to overlap; the halves are fixed by the input,
+    never by the thread count, so the result is the same either way.
+    """
+    if _cpus() < 2:
+        return first(), second()
+    box: dict = {}
+
+    def run() -> None:
+        try:
+            box["value"] = second()
+        except BaseException as exc:
+            box["error"] = exc
+
+    helper = threading.Thread(target=contextvars.copy_context().run, args=(run,), daemon=True)
+    helper.start()
+    try:
+        value = first()
+    finally:
+        helper.join()
+    if "error" in box:
+        raise box["error"]
+    return value, box["value"]
+
+
+# ---------------------------------------------------------------------------
 # log-domain sampling
 
 
@@ -338,13 +400,17 @@ def _eigen_logb(modes: _FlowModes, weights: np.ndarray, grid: SamplingGrid, b: i
     _TABLE) values; the last block runs past the grid, so its tail is
     cut after the functional.  Their absolute values go straight into
     the output, where `_log_tail` turns them into log_b|f| once per
-    pass; no grid-long array but the output is formed.
+    pass; no grid-long array but the output is formed.  An observable's
+    passes are split between two threads (`_fill_passes`); a norm's
+    stay serial, as a 3x3 spectral norm's many short kernel calls would
+    only contend.
     """
     # Re(x y) is the real dot product of x and conj(y) read as floats
     table = np.conj(np.exp(np.outer(grid.step * np.arange(_TABLE), modes.mu))).view(np.float64)
     group = max(1, SLICE // (_TABLE * weights.shape[0]))  # blocks per GEMM: at most SLICE sums
     out = grid.empty()
-    for lo, t in grid.passes():
+
+    def fill(lo: int, t: np.ndarray) -> int:
         starts = t[::_TABLE]
         for g in range(0, starts.size, group):
             folded = weights[:, None, :] * np.exp(np.outer(starts[g : g + group], modes.mu))
@@ -352,10 +418,52 @@ def _eigen_logb(modes: _FlowModes, weights: np.ndarray, grid: SamplingGrid, b: i
             at = lo + g * _TABLE
             values = functional(sums).ravel()[: lo + t.size - at]
             np.abs(values, out=out[at : at + values.size])
-        count = _log_tail(out, lo, t, modes.r, b)
-        if count < t.size:
-            return _LogSample(out[: lo + count], truncated_at=float(t[count]))
-    return _LogSample(out)
+        return _log_tail(out, lo, t, modes.r, b)
+
+    return _fill_passes(out, grid, fill, split=weights.shape[0] == 1)
+
+
+def _fill_passes(out: np.ndarray, grid: SamplingGrid, fill: Callable[[int, np.ndarray], int], split: bool) -> _LogSample:
+    """Run fill(lo, t) over the grid's passes in order: it writes log_b|f|
+    at the pass's grid times t into out[lo : lo + t.size] and returns how
+    many of them it kept (t may be overwritten).  The first pass that
+    keeps fewer cuts the output there, and its first dropped time
+    t_i = i*step is reported as truncated.
+
+    With `split`, a grid of at least 2 SLICE samples fills its first
+    floor(passes / 2) passes inline and the rest on the helper thread
+    (`_in_parallel`).  The passes are independent, so the output is that
+    of one serial loop: the earliest cut wins, and an error in the later
+    half counts only when the earlier half makes no cut, as a serial loop
+    would never reach it otherwise.  A split sampler's pass holds its
+    grid times and one pass-long buffer, so both halves together hold
+    four SLICE-long arrays, less than the exclusion pass peaks at.
+    """
+    def run(start: int, stop: int) -> tuple[int, float] | None:
+        for lo, t in grid.passes(start, stop):
+            count = fill(lo, t)
+            if count < t.size:
+                return lo + count, (lo + count + 1) * grid.step
+        return None
+
+    n = grid.count
+    if not split or n < 2 * SLICE:
+        cut = run(0, n)
+    else:
+        middle = -(-n // SLICE) // 2 * SLICE
+
+        def later() -> tuple[int, float] | None | Exception:
+            try:
+                return run(middle, n)
+            except Exception as exc:
+                return exc
+
+        cut, rest = _in_parallel(lambda: run(0, middle), later)
+        if cut is None:
+            if isinstance(rest, Exception):
+                raise rest
+            cut = rest
+    return _LogSample(out) if cut is None else _LogSample(out[: cut[0]], truncated_at=cut[1])
 
 
 def _log_tail(out: np.ndarray, lo: int, t: np.ndarray, r: float, b: int) -> int:
@@ -363,7 +471,8 @@ def _log_tail(out: np.ndarray, lo: int, t: np.ndarray, r: float, b: int) -> int:
     into log_b|f| = log|shifted| / ln b + r t / ln b in place, up to the
     first time with |r| t / ln b >= _NO_FRACTION, and return how many
     samples that is: the sampler cuts its output there and reports that
-    time as `truncated_at`.
+    time as `truncated_at`.  t is scaled in place to r t / ln b on the
+    way, so a pass holds no temporary here.
 
     |log|shifted|| / ln b is at most 1075 (a finite positive double lies
     in e^(+-745)), so from that time on every log sample is 2^52 or more,
@@ -385,7 +494,9 @@ def _log_tail(out: np.ndarray, lo: int, t: np.ndarray, r: float, b: int) -> int:
     with np.errstate(divide="ignore"):
         np.log(part, out=part)
     part /= lnb
-    part += t[:count] * (r / lnb)
+    head = t[:count]
+    head *= r / lnb
+    part += head
     return count
 
 
@@ -478,38 +589,55 @@ def _stepping_logb(a: np.ndarray, r: float, grid: SamplingGrid, b: int, function
     span = max(1, SLICE // (_POWERS * d * d)) * _POWERS  # samples per GEMM: at most SLICE entries
     out = grid.empty()
     base = np.eye(d)
+
+    def fill(lo: int, t: np.ndarray) -> int:
+        nonlocal base
+        count = t.size
+        for at in range(0, t.size, span):
+            nblocks = -(-min(span, t.size - at) // _POWERS)
+            bases = np.empty((nblocks, d, d))
+            for k in range(nblocks):
+                bases[k] = base
+                base = base @ powers[-1]
+            prod = bases.reshape(nblocks * d, d) @ side  # [k, i] x [j, l]
+            entries = prod.reshape(nblocks, d, _POWERS, d).transpose(1, 3, 0, 2).reshape(d * d, -1)[:, : t.size - at]
+            bad = ~np.isfinite(entries).all(axis=0)
+            n = int(np.argmax(bad)) if bad.any() else entries.shape[1]
+            np.abs(functional(entries[:, :n]), out=out[lo + at : lo + at + n])
+            if n < entries.shape[1]:
+                count = at + n
+                break
+        return _log_tail(out, lo, t[:count], r, b)
+
+    # the block base is carried from pass to pass, so the passes stay serial
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for lo, t in grid.passes():
-            count = t.size
-            for at in range(0, t.size, span):
-                nblocks = -(-min(span, t.size - at) // _POWERS)
-                bases = np.empty((nblocks, d, d))
-                for k in range(nblocks):
-                    bases[k] = base
-                    base = base @ powers[-1]
-                prod = bases.reshape(nblocks * d, d) @ side  # [k, i] x [j, l]
-                entries = prod.reshape(nblocks, d, _POWERS, d).transpose(1, 3, 0, 2).reshape(d * d, -1)[:, : t.size - at]
-                bad = ~np.isfinite(entries).all(axis=0)
-                n = int(np.argmax(bad)) if bad.any() else entries.shape[1]
-                np.abs(functional(entries[:, :n]), out=out[lo + at : lo + at + n])
-                if n < entries.shape[1]:
-                    count = at + n
-                    break
-            count = _log_tail(out, lo, t[:count], r, b)
-            if count < t.size:
-                return _LogSample(out[: lo + count], truncated_at=float(t[count]))
-    return _LogSample(out)
+        return _fill_passes(out, grid, fill, split=False)
 
 
 def _logb_synthetic(spec: Synthetic, grid: SamplingGrid, b: int) -> _LogSample:
+    """The mode sum, added up in the output mode by mode through one
+    pass-long buffer (each term as `u * cos(omega t)`), which then holds
+    k log_b t for after `_log_tail`; passes are split as an observable's."""
     out = grid.empty()
-    for lo, t in grid.passes():
-        np.abs(sum(u * np.cos(omega * t) for omega, u in spec.modes), out=out[lo : lo + t.size])
+
+    def fill(lo: int, t: np.ndarray) -> int:
+        part, term = out[lo : lo + t.size], np.empty_like(t)
+        for i, (omega, u) in enumerate(spec.modes):
+            np.multiply(omega, t, out=term)
+            np.cos(term, out=term)
+            if i == 0:
+                np.multiply(u, term, out=part)
+            else:
+                term *= u
+                part += term
+        np.abs(part, out=part)
+        logt = np.log(t, out=term)  # before `_log_tail` scales t
+        logt *= spec.k / math.log(b)
         count = _log_tail(out, lo, t, spec.r, b)
-        out[lo : lo + count] += np.log(t[:count]) * (spec.k / math.log(b))
-        if count < t.size:
-            return _LogSample(out[: lo + count], truncated_at=float(t[count]))
-    return _LogSample(out)
+        part[:count] += logt[:count]
+        return count
+
+    return _fill_passes(out, grid, fill, split=True)
 
 
 def sample_log_signal(spec: SignalSpec, grid: SamplingGrid, b: int = 10) -> _LogSample:
@@ -661,6 +789,7 @@ def _verdict_from_logb(
             values = raw[lo : lo + n]
             logb[kept : kept + count] = log_fractions_unsorted(values if keep is None else values[keep], b)
         kept += count
+    del floors  # the sort and the statistics hold their own buffers
     common = dict(
         base=b, horizon=horizon, step=step, thresholds=thresholds, truncated_at=truncated_at,
         excluded_sample_count=total - kept, sample_count=total,
@@ -671,9 +800,18 @@ def _verdict_from_logb(
             digit_histogram=None, weyl=None, **common,
         )
     u = logb[:kept]
-    u.sort()
-    distance = uniform_distance(u)
-    weyl = WeylReport.from_sorted(u, config.weyl_k)
+    weyl_of = lambda: WeylReport.from_sorted(u, config.weyl_k)
+    if kept < 2 * SLICE:
+        u.sort()
+        weyl, distance = weyl_of(), uniform_distance(u)
+    else:
+        # Two halves at once (`_in_parallel`): a partition at the middle,
+        # then each side sorted, gives the same array as one sort; then the
+        # Weyl sums inline and the KS distance on the helper.
+        middle = kept // 2
+        u.partition(middle)
+        _in_parallel(u[:middle].sort, u[middle:].sort)
+        weyl, distance = _in_parallel(weyl_of, lambda: uniform_distance(u))
     floor = weyl.noise_floor(thresholds.weyl_multiplier)
     max_mag = weyl.max_magnitude
     if u.size < MIN_SAMPLES:

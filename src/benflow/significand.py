@@ -18,7 +18,7 @@ u) are all read off one sorted array of u.  Verdicts fill u slice by
 slice, from log samples (`fractions_into`) or raw values
 (`log_fractions_unsorted`), and sort it once; `log_fractions` does both
 for raw values.  Every loop over a grid-long array takes SLICE samples
-at a time.
+at a time (the KS distance SLICE / 2, as it runs beside the Weyl sums).
 """
 from __future__ import annotations
 
@@ -88,7 +88,10 @@ _BELOW_ONE = math.nextafter(1.0, 0.0)
 # verdict.  Measured with getrusage on the statistics of a 1e6-sample
 # verdict (2-core Xeon, one BLAS thread): 0 minor faults per verdict for
 # 2^12..2^17, then 4.8k at 2^18, 8.1k at 2^19 and 10.3k at 2^20; time is
-# least at 2^14..2^15.
+# least at 2^14..2^15.  A verdict that runs two halves at once (see
+# `flowsignal`) holds both halves' temporaries, which together stay
+# within one serial pass's budget: the KS distance beside the Weyl sums
+# takes SLICE / 2 samples at a time.
 SLICE = 1 << 15
 
 
@@ -161,16 +164,29 @@ def uniform_distance(u: np.ndarray) -> float:
 
     S <= s exactly when u <= log_b s, so this is also the sup-distance
     of the significand ECDF from log_b.  Both one-sided gaps at every
-    jump are checked, SLICE samples at a time.
+    jump are checked, SLICE / 2 samples at a time, in two buffers reused
+    from slice to slice: the integer ranks lo..lo + m of a slice of m
+    samples (exact as doubles, so each rank / n is one rounding, as in a
+    whole-array `arange(n + 1) / n`) and the one-sided gaps.  Verdicts
+    run it beside the Weyl sums, so it holds half a pass: SLICE + 1
+    doubles in all.
     """
     n = u.size
     if n == 0:
         raise UsageError("need at least one sample")
+    width = min(n, SLICE // 2)
+    ranks, gaps = np.arange(width + 1.0), np.empty(width)
     gap = 0.0  # the gap at the last jump, 1 - u[-1], is positive
-    for lo in range(0, n, SLICE):
-        part = u[lo : lo + SLICE]
-        ranks = np.arange(lo, lo + part.size + 1) / n
-        gap = max(gap, (ranks[1:] - part).max(), (part - ranks[:-1]).max())
+    for lo in range(0, n, width):
+        part = u[lo : lo + width]
+        m = part.size
+        above = np.divide(ranks[1 : m + 1], n, out=gaps[:m])
+        above -= part
+        gap = max(gap, above.max())
+        below = np.divide(ranks[:m], n, out=gaps[:m])
+        np.subtract(part, below, out=below)
+        gap = max(gap, below.max())
+        ranks += width
     return float(gap)
 
 

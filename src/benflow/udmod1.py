@@ -91,11 +91,17 @@ class SamplingGrid:
         except MemoryError:
             raise UsageError(f"a grid of {self.count} samples does not fit in memory") from None
 
-    def passes(self) -> Iterator[tuple[int, np.ndarray]]:
-        """(lo, t) for consecutive passes over the grid: t holds the grid
-        times t_{lo+1}..t_hi of at most SLICE samples."""
-        for lo in range(0, self.count, SLICE):
-            yield lo, self.step * np.arange(lo + 1, min(lo + SLICE, self.count) + 1)
+    def passes(self, start: int = 0, stop: int | None = None) -> Iterator[tuple[int, np.ndarray]]:
+        """(lo, t) for consecutive passes over the grid from sample `start`
+        (a multiple of SLICE) up to `stop` (default: the whole grid): t
+        holds the grid times t_{lo+1}..t_hi of at most SLICE samples.
+        Each t is one float array, the indices (exact below 2^53) scaled
+        by step in place."""
+        stop = self.count if stop is None else stop
+        for lo in range(start, stop, SLICE):
+            t = np.arange(lo + 1.0, min(lo + SLICE, self.count) + 1.0)
+            t *= self.step
+            yield lo, t
 
     def times(self) -> np.ndarray:
         times = self.empty()  # first: the usage error comes before any allocation
@@ -171,8 +177,9 @@ def sorted_weyl_sums(u: np.ndarray, K: int) -> np.ndarray:
         filled = first + np.flatnonzero(counts[first:last])  # an empty segment would break reduceat
         if filled.size:
             delta = u[lo:hi] * M
-            delta -= np.floor(delta)
-            power = delta.copy()
+            power = np.floor(delta)  # the floors, then the powers of delta, in one buffer
+            delta -= power
+            power[:] = delta
             for j in range(1, J + 1):
                 sums[j, filled] = np.add.reduceat(power, bounds[filled] - lo)
                 if j < J:

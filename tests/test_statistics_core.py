@@ -10,10 +10,15 @@ whole arrays (also copied below), at the edges of the SLICE-sample
 passes the core makes, with allocation bounds that only a sliced core
 meets.  The exclusion, which keeps whole blocks under a proven bound,
 is checked bit for bit against the per-sample rule run one sample at a
-time.
+time.  Verdicts of at least 2 SLICE samples run their sampling, sort and
+statistics in two halves at once; the helper thread that runs the second
+half is checked, and so are the split verdicts, bit for bit, against the
+sampler's serial loop and against one sort and whole-array statistics.
 """
 import math
 import pickle
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -363,11 +368,12 @@ def test_zero_runs_across_slices_and_a_slice_excluded_whole():
     assert_bit_equal(report, u, logb)
 
 
-@pytest.mark.parametrize("at", [SLICE, SLICE - 1, 2 * SLICE - 1, 2 * SLICE])
+@pytest.mark.parametrize("at", [SLICE // 2 - 1, SLICE // 2, SLICE, SLICE - 1, 2 * SLICE - 1, 2 * SLICE])
 def test_ks_maximum_at_a_slice_edge(at):
+    # the KS distance takes SLICE / 2 samples at a time
     n = 3 * SLICE
     u = (np.arange(n) + 0.5) / n
-    if at % SLICE == 0:
+    if at % (SLICE // 2) == 0:
         u[at] = u[at - 1]  # the ECDF jumps twice at u[at]: the gap above it peaks there
     else:
         u[at] = u[at + 1]  # the gap below u[at] peaks there
@@ -460,7 +466,7 @@ def test_verdict_and_sampler_allocate_no_grid_long_temporaries():
         assert verdict_peak <= 4 * 2**20, label
 
 
-@pytest.mark.parametrize("label", ["eigen observable 1e6", "3x3 spectral 2e5", "4x4 frobenius 2e5"])
+@pytest.mark.parametrize("label", ["eigen observable 1e6", "3x3 spectral 2e5", "4x4 frobenius 2e5", "synthetic 1e6"])
 def test_a_verdict_peaks_at_its_grid_buffer_and_keeps_no_sample(label):
     # The grid buffer is the one grid-long array; a norm's GEMM and norm run
     # over groups of whole blocks holding at most SLICE sums (a 4x4 norm's 16
@@ -605,3 +611,178 @@ def test_raw_values_match_per_sample_rule(b, scanned):
         logb = np.log(np.abs(raw)) / math.log(b)
     assert 0 < assert_exclusion_matches(logb, b, raw) < n
     assert 0 < sum(scanned) < n
+
+
+# ---------------------------------------------------------------------------
+# two halves at once: the helper thread, and the splits it runs, bit for bit
+
+
+def test_an_error_in_the_helpers_half_reaches_the_caller():
+    def fails(message):
+        def run():
+            raise ValueError(message)
+        return run
+
+    with pytest.raises(ValueError, match="helper"):
+        flowsignal._in_parallel(lambda: 1, fails("helper"))
+    with pytest.raises(ValueError, match="inline"):  # both halves fail: the inline error wins
+        flowsignal._in_parallel(fails("inline"), fails("helper"))
+    assert flowsignal._in_parallel(lambda: 1, lambda: 2) == (1, 2)
+
+
+def test_a_verdict_leaves_no_thread_behind():
+    spec = Synthetic(0.5, 1, ((1.0, 1.0), (2.3, 0.5)))
+    before = threading.active_count()
+    benford_verdict(spec, 10, CONFIG.grid, config=CONFIG)
+    assert threading.active_count() == before
+
+
+def test_the_helper_runs_under_the_callers_errstate():
+    with np.errstate(under="raise", divide="ignore"):
+        inline, helper = flowsignal._in_parallel(np.geterr, np.geterr)
+        assert helper == inline == np.geterr()
+    assert helper["under"] == "raise"
+
+
+def test_one_cpu_runs_both_halves_inline_with_the_same_bits(monkeypatch):
+    spec = Synthetic(0.5, 1, ((1.0, 1.0), (2.3, 0.5)))
+    report, u = _signal_verdict(spec, 10, CONFIG.grid, config=CONFIG)
+    u = u.copy()
+    threads = []
+
+    def where():
+        threads.append(threading.get_ident())
+
+    if flowsignal._cpus() > 1:
+        flowsignal._in_parallel(where, where)
+        assert threads[0] != threads[1]  # the helper ran, so the split was taken both ways
+    monkeypatch.setattr(flowsignal, "_cpus", lambda: 1)
+    threads.clear()
+    flowsignal._in_parallel(where, where)
+    assert threads == [threading.get_ident()] * 2
+    alone, u_alone = _signal_verdict(spec, 10, CONFIG.grid, config=CONFIG)
+    assert alone == report
+    assert np.array_equal(u_alone, u)
+
+
+def test_verdicts_from_many_caller_threads_match_one_at_a_time():
+    # four callers, each with its own helper, on two CPUs, switching as often
+    # as the interpreter allows: every report and kept fraction is the same
+    grid = SamplingGrid(T=(2 * SLICE + 1.5) * 0.01, step=0.01)
+    specs = list(split_specs().values()) * 2
+    alone = [_signal_verdict(spec, 10, grid, config=CONFIG) for spec in specs]
+    results = [None] * len(specs)
+
+    def judge(i: int) -> None:
+        for _ in range(3):
+            report, u = _signal_verdict(specs[i], 10, grid, config=CONFIG)
+            results[i] = report == alone[i][0] and np.array_equal(u, alone[i][1])
+            if not results[i]:
+                return
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=judge, args=(i,)) for i in range(len(specs))]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert results == [True] * len(specs)
+
+
+def serial_sample(spec, grid: SamplingGrid, b: int, monkeypatch):
+    """The sampler with every pass in one loop, in grid order."""
+    with monkeypatch.context() as m:
+        fill = flowsignal._fill_passes
+        m.setattr(flowsignal, "_fill_passes", lambda out, grid, run, split: fill(out, grid, run, False))
+        return sample_log_signal(spec, grid, b)
+
+
+def assert_split_verdict_is_serial(spec, grid: SamplingGrid, monkeypatch, b: int = 10) -> None:
+    """The sampled logs and the truncation time against the serial loop,
+    and the report and sorted kept fractions against one `np.sort` of the
+    kept fractions with `uniform_distance` and `sorted_weyl_sums` over the
+    whole array."""
+    serial = serial_sample(spec, grid, b, monkeypatch)
+    sample = sample_log_signal(spec, grid, b)
+    assert np.array_equal(sample.values, serial.values)
+    assert sample.truncated_at == serial.truncated_at
+    report, u = _signal_verdict(spec, b, grid, config=CONFIG)
+    assert report.truncated_at == serial.truncated_at
+    logb = serial.values
+    keep = per_sample_keep(logb, b)
+    expected = np.sort(np.minimum(logb[keep] - np.floor(logb[keep]), math.nextafter(1.0, 0.0)))
+    assert report.excluded_sample_count == logb.size - expected.size
+    assert np.array_equal(u, expected)
+    assert report.significand_distance == uniform_distance(expected)
+    weyl = {k: min(float(abs(w)), 1.0) for k, w in enumerate(sorted_weyl_sums(expected, CONFIG.weyl_k), start=1)}
+    assert report.weyl.magnitudes == weyl
+    assert report.digit_histogram.counts == digit_counts(expected, b)
+
+
+def split_specs() -> dict:
+    s, b = block_parts(25, [("spiral", 1.0, 2.0), ("real", 0.4)])
+    c = np.random.default_rng(26).standard_normal(b.shape)
+    return {
+        "observable": ObservableOnFlow(s @ b @ np.linalg.inv(s), Observable(c)),
+        "synthetic": Synthetic(0.5, 1, ((1.0, 1.0), (2.3, 0.5))),
+    }
+
+
+@pytest.mark.parametrize("n", [2 * SLICE - 1, 2 * SLICE, 2 * SLICE + 1, 10**6 + 7])
+@pytest.mark.parametrize("kind", ["observable", "synthetic"])
+def test_split_verdicts_match_serial_sampling_and_whole_arrays(kind, n, monkeypatch):
+    grid = SamplingGrid(T=(n + 0.5) * 0.01, step=0.01)
+    assert grid.count == n
+    assert_split_verdict_is_serial(split_specs()[kind], grid, monkeypatch)
+
+
+def test_split_decaying_verdict_matches_serial_sampling_and_whole_arrays(monkeypatch):
+    # |f| falls under zero_rel times its start near t = 3000: about 300,000
+    # of 1e6 samples are kept, so the sort and the statistics are split too
+    spec = ObservableOnFlow(block_generator(27, [("spiral", -0.01, 2.0)]), Observable(np.eye(2)))
+    report = benford_verdict(spec, 10, CONFIG.grid, config=CONFIG)
+    kept = report.sample_count - report.excluded_sample_count
+    assert 2 * SLICE <= kept < report.sample_count - 2 * SLICE
+    assert_split_verdict_is_serial(spec, CONFIG.grid, monkeypatch)
+
+
+@pytest.mark.parametrize("b", [10, 2])
+@pytest.mark.parametrize("at", [3000.0, 8000.0], ids=["first half", "helper's half"])
+def test_a_cut_in_either_half_is_the_serial_cut(at, b, monkeypatch):
+    # |r| t / ln b reaches 2^52 + 2^11 at about t = `at`: before or past the
+    # end of the first half's 15 passes (t = 4915.2)
+    r = 1.04e16 * math.log(b) / math.log(10) / at
+    spec = ObservableOnFlow(np.array([[r]]), Observable(np.array([[1.0]])))
+    grid = CONFIG.grid
+    times = grid.times()
+    first = int(np.argmax(r * times >= flowsignal._NO_FRACTION * math.log(b)))
+    assert (first < 15 * SLICE) == (at < 4915.2)
+    assert sample_log_signal(spec, grid, b).truncated_at == times[first]
+    assert_split_verdict_is_serial(spec, grid, monkeypatch, b)
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_an_error_past_the_cut_is_never_raised(split):
+    # passes from 2 SLICE on raise; a cut in the second pass (the first
+    # half's last) keeps the serial loop from reaching them
+    grid = SamplingGrid(T=(4 * SLICE + 0.5) * 0.01, step=0.01)
+    out = grid.empty()
+
+    def passes_up_to(cut: int | None):
+        def fill(lo: int, t: np.ndarray) -> int:
+            if lo >= 2 * SLICE:
+                raise FloatingPointError("a pass past the cut")
+            out[lo : lo + t.size] = 0.0
+            return 5 if lo == cut else t.size
+        return fill
+
+    sample = flowsignal._fill_passes(out, grid, passes_up_to(SLICE), split)
+    assert sample.values.size == SLICE + 5
+    assert sample.truncated_at == grid.times()[SLICE + 5]
+    with pytest.raises(FloatingPointError, match="past the cut"):
+        flowsignal._fill_passes(out, grid, passes_up_to(None), split)
