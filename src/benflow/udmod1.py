@@ -92,14 +92,14 @@ class SamplingGrid:
             raise UsageError(f"a grid of {self.count} samples does not fit in memory") from None
 
     def passes(self, start: int = 0, stop: int | None = None) -> Iterator[tuple[int, np.ndarray]]:
-        """(lo, t) for consecutive passes over the grid from sample `start`
-        (a multiple of SLICE) up to `stop` (default: the whole grid): t
-        holds the grid times t_{lo+1}..t_hi of at most SLICE samples.
-        Each t is one float array, the indices (exact below 2^53) scaled
-        by step in place."""
-        stop = self.count if stop is None else stop
+        """(lo, t) for consecutive passes over samples start..stop - 1 of
+        the grid (default: all of it): t holds the grid times
+        t_{lo+1}..t_hi of at most SLICE samples, hi <= stop.  Each t is
+        one float array, the indices (exact below 2^53) scaled by step in
+        place."""
+        stop = self.count if stop is None else min(stop, self.count)
         for lo in range(start, stop, SLICE):
-            t = np.arange(lo + 1.0, min(lo + SLICE, self.count) + 1.0)
+            t = np.arange(lo + 1.0, min(lo + SLICE, stop) + 1.0)
             t *= self.step
             yield lo, t
 

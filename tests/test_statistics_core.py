@@ -638,10 +638,20 @@ def test_a_verdict_leaves_no_thread_behind():
 
 
 def test_the_helper_runs_under_the_callers_errstate():
-    with np.errstate(under="raise", divide="ignore"):
-        inline, helper = flowsignal._in_parallel(np.geterr, np.geterr)
-        assert helper == inline == np.geterr()
-    assert helper["under"] == "raise"
+    # a new thread starts at numpy's defaults, so the helper must take the
+    # caller's error modes and error callback with it
+    def state():
+        return np.geterr(), np.geterrcall()
+
+    def callback(kind, flag):
+        pass
+
+    with np.errstate(under="raise", divide="ignore", over="call", call=callback):
+        inline, helper = flowsignal._in_parallel(state, state)
+        assert helper == inline == state()
+    assert helper[0]["under"] == "raise"
+    assert helper[1] is callback
+    assert flowsignal._in_parallel(state, state)[1] == state()
 
 
 def test_one_cpu_runs_both_halves_inline_with_the_same_bits(monkeypatch):
@@ -658,6 +668,29 @@ def test_one_cpu_runs_both_halves_inline_with_the_same_bits(monkeypatch):
         assert threads[0] != threads[1]  # the helper ran, so the split was taken both ways
     monkeypatch.setattr(flowsignal, "_cpus", lambda: 1)
     threads.clear()
+    flowsignal._in_parallel(where, where)
+    assert threads == [threading.get_ident()] * 2
+    alone, u_alone = _signal_verdict(spec, 10, CONFIG.grid, config=CONFIG)
+    assert alone == report
+    assert np.array_equal(u_alone, u)
+
+
+def test_a_thread_that_cannot_start_runs_both_halves_inline(monkeypatch):
+    # a process or thread limit makes Thread.start raise: the verdict still
+    # runs, both halves inline, with the same bits
+    spec = Synthetic(0.5, 1, ((1.0, 1.0), (2.3, 0.5)))
+    report, u = _signal_verdict(spec, 10, CONFIG.grid, config=CONFIG)
+    u = u.copy()
+    threads = []
+
+    def where():
+        threads.append(threading.get_ident())
+
+    def refuse(self):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(flowsignal, "_cpus", lambda: 2)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
     flowsignal._in_parallel(where, where)
     assert threads == [threading.get_ident()] * 2
     alone, u_alone = _signal_verdict(spec, 10, CONFIG.grid, config=CONFIG)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from benflow.errors import DomainError, UsageError
 from benflow.flowsignal import benford_report_from_log_samples
-from benflow.significand import log_fractions
+from benflow.significand import SLICE, log_fractions
 from benflow.udmod1 import (
     SamplingGrid,
     TorusMapSpec,
@@ -70,6 +70,17 @@ class TestSamplingGrid:
         grid = SamplingGrid(T=1e15, step=1e-2)
         with pytest.raises(UsageError, match=f"{grid.count} samples"):
             grid.times()
+
+    @pytest.mark.parametrize("start, stop", [(0, 100), (SLICE, SLICE + 5), (0, 2 * SLICE + 1), (SLICE + 7, 3 * SLICE), (0, None)])
+    def test_passes_keep_to_their_range(self, start, stop):
+        # every pass ends at `stop`, a multiple of SLICE or not, and the
+        # passes' times are the grid's times start..stop - 1
+        grid = SamplingGrid(T=(2 * SLICE + 10.5) * 0.25, step=0.25)
+        passes = list(grid.passes(start, stop))
+        end = grid.count if stop is None else min(stop, grid.count)
+        assert [lo for lo, _ in passes] == list(range(start, end, SLICE))
+        assert all(t.size <= SLICE for _, t in passes)
+        assert np.array_equal(np.concatenate([t for _, t in passes]), np.arange(start + 1, end + 1) * 0.25)
 
 
 def weyl_report(samples, K: int) -> WeylReport:
