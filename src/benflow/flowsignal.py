@@ -22,14 +22,14 @@ groups of whole blocks within a pass; those temporaries stay in cache
 and reuse the same pages.  A report costs O(b + K) numbers whatever
 the grid.
 
-A verdict of at least 2 SLICE samples runs three stages in two halves
-at once, the second on one short-lived helper thread (`_in_parallel`,
-and only where the process may use a second CPU and can start a
-thread): an observable's or a synthetic's sampler passes (the first
-floor(passes / 2) inline), the sort (a partition at the middle, then
-each side), and the statistics (the Weyl sums inline, the KS distance
-on the helper).  The halves are fixed by the input, so the output is
-the same bits with or without the helper.  The memory rule holds for
+Every verdict runs three stages in two halves: an observable's or a
+synthetic's sampler passes (the first floor(passes / 2) inline), the
+sort (a partition at the middle, then each side), and the statistics
+(the Weyl sums inline, the KS distance beside them).  `_in_parallel`
+alone decides whether the second half runs at once on one short-lived
+helper thread: for at least 2 SLICE samples, where the process may use
+a second CPU and can start a thread.  The halves are fixed by the
+input, so the output is the same bits with or without the helper.  The memory rule holds for
 both halves together: they stay within one serial pass's budget, as
 each sampler half holds only its grid times and one pass-long buffer
 (`_log_tail` scales the times in place) and the KS distance holds half
@@ -51,9 +51,11 @@ synthetic one included, is one loop over `SamplingGrid.passes()` (the
 grid times of SLICE samples at a time), writing |shifted signal| into
 its part of the output and turning it into log_b|f| there
 (`_log_tail`): no other grid-long array.  A synthetic's shifted signal
-is its mode sum, and k log_b t is added after `_log_tail`.  Every
-sampler cuts its output at the first time from which |r t / ln b| leaves
-no log sample a fractional bit, and reports that time as truncated.
+is its mode sum, and k log_b t is added after `_log_tail`.  The first
+time from which |r t / ln b| leaves no log sample a fractional bit
+follows from r, the grid and b alone (`_fraction_count`): every sampler
+stops its passes there before sampling, and reports that time as
+truncated.
 
 For a diagonalizable generator the shifted flow is a sum of mode
 factors e^{(lambda - r)t}, one per conjugate pair or real eigenvalue,
@@ -78,6 +80,7 @@ first non-finite propagator.
 """
 from __future__ import annotations
 
+import bisect
 import math
 import os
 import threading
@@ -313,20 +316,22 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _in_parallel(first: Callable, second: Callable) -> tuple:
+def _in_parallel(first: Callable, second: Callable, samples: int) -> tuple:
     """(first(), second()): `second` runs on one short-lived helper thread
     under the caller's numpy error state (`np.geterr`, `np.geterrcall`),
     while `first` runs inline.  The helper is joined before this returns
     or raises; an exception from `first` wins over one from `second`,
-    which is raised otherwise.  A process that may use only one CPU, or
-    that cannot start a thread, runs both inline, in order.
+    which is raised otherwise.  Work on fewer than 2 SLICE samples, a
+    process that may use only one CPU, and one that cannot start a thread
+    run both inline, in order.
 
     Verdicts split only long numpy calls this way (half a grid's passes,
     half a sort, the KS distance beside the Weyl sums), which release the
-    GIL for long enough to overlap; the halves are fixed by the input,
-    never by the thread count, so the result is the same either way.
+    GIL for long enough to overlap; `samples` is how many samples the two
+    halves cover together.  The halves are fixed by the input, never by
+    the thread count, so the result is the same either way.
     """
-    if _cpus() < 2:
+    if samples < 2 * SLICE or _cpus() < 2:
         return first(), second()
     box: dict = {}
     state = dict(np.geterr(), call=np.geterrcall())
@@ -425,86 +430,71 @@ def _eigen_logb(modes: _FlowModes, weights: np.ndarray, grid: SamplingGrid, b: i
             at = lo + g * _TABLE
             values = functional(sums).ravel()[: lo + t.size - at]
             np.abs(values, out=out[at : at + values.size])
-        return _log_tail(out, lo, t, modes.r, b)
+        _log_tail(out[lo : lo + t.size], t, modes.r, b)
+        return t.size
 
-    return _fill_passes(out, grid, fill, split=weights.shape[0] == 1)
+    return _fill_passes(out, grid, fill, _fraction_count(grid, modes.r, b), split=weights.shape[0] == 1)
 
 
-def _fill_passes(out: np.ndarray, grid: SamplingGrid, fill: Callable[[int, np.ndarray], int], split: bool) -> _LogSample:
-    """Run fill(lo, t) over the grid's passes in order: it writes log_b|f|
-    at the pass's grid times t into out[lo : lo + t.size] and returns how
-    many of them it kept (t may be overwritten).  The first pass that
-    keeps fewer cuts the output there, and its first dropped time
-    t_i = i*step is reported as truncated.
+def _fraction_count(grid: SamplingGrid, r: float, b: int) -> int:
+    """How many grid times t_i = i*step (formed as `SamplingGrid.passes`
+    forms them) come before the first with |r| t_i / ln b >= _NO_FRACTION,
+    found by bisection: |log|shifted|| / ln b is at most 1075 (a finite
+    positive double lies in e^(+-745)), so from that time on every log
+    sample is 2^52 or more, where a double has no fractional bit.  Every
+    sampler stops its passes there, before sampling, and reports that time
+    as `truncated_at`; a cut at the first time keeps nothing to judge, a
+    usage error."""
+    limit = _NO_FRACTION * math.log(b)
+    count = bisect.bisect_left(range(grid.count), True, key=lambda i: abs(r) * ((i + 1.0) * grid.step) >= limit)
+    if count == 0:
+        raise UsageError(
+            f"r = {r} puts every |log_b f| from t = {1.0 * grid.step} on at 2^52 or more, "
+            "where no fractional bit (no significand) is left"
+        )
+    return count
 
-    With `split`, a grid of at least 2 SLICE samples fills its first
-    floor(passes / 2) passes inline and the rest on the helper thread
-    (`_in_parallel`).  The passes are independent, so the output is that
-    of one serial loop: the earliest cut wins, and an error in the later
-    half counts only when the earlier half makes no cut, as a serial loop
-    would never reach it otherwise.  A split sampler's pass holds its
-    grid times and one pass-long buffer, so both halves together hold
-    four SLICE-long arrays, less than the exclusion pass peaks at.
+
+def _fill_passes(out: np.ndarray, grid: SamplingGrid, fill: Callable, stop: int, split: bool) -> _LogSample:
+    """Run fill(lo, t) over the grid's passes up to sample `stop` (the
+    sampler's `_fraction_count`): it writes log_b|f| at the pass's grid
+    times t into out[lo : lo + t.size] and returns how many of them it
+    kept (t may be overwritten).  Only stepping's overflow keeps fewer,
+    which cuts the output there; a cut output reports its first dropped
+    time t_i = i*step as truncated.
+
+    With `split` (never for stepping), the first floor(passes / 2) passes
+    run inline and the rest on the helper thread (`_in_parallel`); as
+    every pass is kept whole and independent, the output is that of one
+    serial loop.  A split sampler's pass holds its grid times and one
+    pass-long buffer, so both halves together hold four SLICE-long
+    arrays, less than the exclusion pass peaks at.
     """
-    def run(start: int, stop: int) -> tuple[int, float] | None:
-        for lo, t in grid.passes(start, stop):
+    def run(start: int, end: int) -> int:
+        for lo, t in grid.passes(start, end):
             count = fill(lo, t)
             if count < t.size:
-                return lo + count, (lo + count + 1) * grid.step
-        return None
+                return lo + count
+        return end
 
-    n = grid.count
-    if not split or n < 2 * SLICE:
-        cut = run(0, n)
+    if split:
+        middle = -(-stop // SLICE) // 2 * SLICE
+        _in_parallel(lambda: run(0, middle), lambda: run(middle, stop), stop)
     else:
-        middle = -(-n // SLICE) // 2 * SLICE
-
-        def later() -> tuple[int, float] | None | Exception:
-            try:
-                return run(middle, n)
-            except Exception as exc:
-                return exc
-
-        cut, rest = _in_parallel(lambda: run(0, middle), later)
-        if cut is None:
-            if isinstance(rest, Exception):
-                raise rest
-            cut = rest
-    return _LogSample(out) if cut is None else _LogSample(out[: cut[0]], truncated_at=cut[1])
+        stop = run(0, stop)
+    return _LogSample(out) if stop == grid.count else _LogSample(out[:stop], truncated_at=(stop + 1) * grid.step)
 
 
-def _log_tail(out: np.ndarray, lo: int, t: np.ndarray, r: float, b: int) -> int:
-    """Turn out[lo : lo + t.size], |shifted signal| at the grid times t,
-    into log_b|f| = log|shifted| / ln b + r t / ln b in place, up to the
-    first time with |r| t / ln b >= _NO_FRACTION, and return how many
-    samples that is: the sampler cuts its output there and reports that
-    time as `truncated_at`.  t is scaled in place to r t / ln b on the
-    way, so a pass holds no temporary here.
-
-    |log|shifted|| / ln b is at most 1075 (a finite positive double lies
-    in e^(+-745)), so from that time on every log sample is 2^52 or more,
-    where a double has no fractional bit.  t ascends, so the pass's last
-    time decides whether the pass is cut.  A grid cut at its first time
-    keeps nothing to judge: that is a usage error.
-    """
+def _log_tail(part: np.ndarray, t: np.ndarray, r: float, b: int) -> None:
+    """Turn `part`, |shifted signal| at the grid times t, into log_b|f| =
+    log|shifted| / ln b + r t / ln b in place.  t is scaled in place to
+    r t / ln b on the way, so a pass holds no temporary here."""
     lnb = math.log(b)
-    limit = _NO_FRACTION * lnb
-    count = t.size
-    if count and abs(r) * t[-1] >= limit:
-        count = int(np.argmax(abs(r) * t >= limit))
-        if lo + count == 0:
-            raise UsageError(
-                f"r = {r} puts every |log_b f| from t = {t[0]} on at 2^52 or more, "
-                "where no fractional bit (no significand) is left"
-            )
-    part = out[lo : lo + count]
     with np.errstate(divide="ignore"):
         np.log(part, out=part)
     part /= lnb
-    head = t[:count]
-    head *= r / lnb
-    part += head
-    return count
+    t *= r / lnb
+    part += t
 
 
 def _logb_flow(flow: ObservableOnFlow | NormOnFlow, grid: SamplingGrid, b: int) -> _LogSample:
@@ -589,36 +579,38 @@ def _stepping_logb(a: np.ndarray, r: float, grid: SamplingGrid, b: int, function
     """
     d = a.shape[0]
     step_mat = expm(a - r * np.eye(d), grid.step)
-    powers = [step_mat]
-    for _ in range(_POWERS - 1):
-        powers.append(powers[-1] @ step_mat)
-    side = np.concatenate(powers, axis=1)  # (d, m*d), block j is S^{j+1}
-    span = max(1, SLICE // (_POWERS * d * d)) * _POWERS  # samples per GEMM: at most SLICE entries
-    out = grid.empty()
-    base = np.eye(d)
-
-    def fill(lo: int, t: np.ndarray) -> int:
-        nonlocal base
-        count = t.size
-        for at in range(0, t.size, span):
-            nblocks = -(-min(span, t.size - at) // _POWERS)
-            bases = np.empty((nblocks, d, d))
-            for k in range(nblocks):
-                bases[k] = base
-                base = base @ powers[-1]
-            prod = bases.reshape(nblocks * d, d) @ side  # [k, i] x [j, l]
-            entries = prod.reshape(nblocks, d, _POWERS, d).transpose(1, 3, 0, 2).reshape(d * d, -1)[:, : t.size - at]
-            bad = ~np.isfinite(entries).all(axis=0)
-            n = int(np.argmax(bad)) if bad.any() else entries.shape[1]
-            np.abs(functional(entries[:, :n]), out=out[lo + at : lo + at + n])
-            if n < entries.shape[1]:
-                count = at + n
-                break
-        return _log_tail(out, lo, t[:count], r, b)
-
-    # the block base is carried from pass to pass, so the passes stay serial
+    # past the float range the powers and entries turn non-finite, and the output
+    # is cut there; the block base is carried from pass to pass, so passes stay serial
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _fill_passes(out, grid, fill, split=False)
+        powers = [step_mat]
+        for _ in range(_POWERS - 1):
+            powers.append(powers[-1] @ step_mat)
+        side = np.concatenate(powers, axis=1)  # (d, m*d), block j is S^{j+1}
+        span = max(1, SLICE // (_POWERS * d * d)) * _POWERS  # samples per GEMM: at most SLICE entries
+        out = grid.empty()
+        base = np.eye(d)
+
+        def fill(lo: int, t: np.ndarray) -> int:
+            nonlocal base
+            count = t.size
+            for at in range(0, t.size, span):
+                nblocks = -(-min(span, t.size - at) // _POWERS)
+                bases = np.empty((nblocks, d, d))
+                for k in range(nblocks):
+                    bases[k] = base
+                    base = base @ powers[-1]
+                prod = bases.reshape(nblocks * d, d) @ side  # [k, i] x [j, l]
+                entries = prod.reshape(nblocks, d, _POWERS, d).transpose(1, 3, 0, 2).reshape(d * d, -1)[:, : t.size - at]
+                bad = ~np.isfinite(entries).all(axis=0)
+                n = int(np.argmax(bad)) if bad.any() else entries.shape[1]
+                np.abs(functional(entries[:, :n]), out=out[lo + at : lo + at + n])
+                if n < entries.shape[1]:
+                    count = at + n
+                    break
+            _log_tail(out[lo : lo + count], t[:count], r, b)
+            return count
+
+        return _fill_passes(out, grid, fill, _fraction_count(grid, r, b), split=False)
 
 
 def _logb_synthetic(spec: Synthetic, grid: SamplingGrid, b: int) -> _LogSample:
@@ -640,20 +632,22 @@ def _logb_synthetic(spec: Synthetic, grid: SamplingGrid, b: int) -> _LogSample:
         np.abs(part, out=part)
         logt = np.log(t, out=term)  # before `_log_tail` scales t
         logt *= spec.k / math.log(b)
-        count = _log_tail(out, lo, t, spec.r, b)
-        part[:count] += logt[:count]
-        return count
+        _log_tail(part, t, spec.r, b)
+        part += logt
+        return t.size
 
-    return _fill_passes(out, grid, fill, split=True)
+    return _fill_passes(out, grid, fill, _fraction_count(grid, spec.r, b), split=True)
 
 
 def sample_log_signal(spec: SignalSpec, grid: SamplingGrid, b: int = 10) -> _LogSample:
-    """log_b|f(t)| over the grid, computed without forming |f| itself."""
+    """log_b|f(t)| over the grid, computed without forming |f| itself; a
+    decaying mode may underflow to 0 on the way, whatever the caller's numpy error state."""
     b = validate_base(b)
-    if isinstance(spec, Synthetic):
-        return _logb_synthetic(spec, grid, b)
-    if isinstance(spec, (ObservableOnFlow, NormOnFlow)):
-        return _logb_flow(spec, grid, b)
+    with np.errstate(under="ignore"):
+        if isinstance(spec, Synthetic):
+            return _logb_synthetic(spec, grid, b)
+        if isinstance(spec, (ObservableOnFlow, NormOnFlow)):
+            return _logb_flow(spec, grid, b)
     raise UsageError(f"unknown signal spec {type(spec).__name__}")
 
 
@@ -806,19 +800,14 @@ def _verdict_from_logb(
             verdict=VERDICT_TRIVIAL, inconclusive=False, significand_distance=None,
             digit_histogram=None, weyl=None, **common,
         )
+    # Two halves at once (`_in_parallel`): a partition at the middle, then
+    # each side sorted, gives the same array as one sort; then the Weyl
+    # sums inline and the KS distance on the helper.
     u = logb[:kept]
-    weyl_of = lambda: WeylReport.from_sorted(u, config.weyl_k)
-    if kept < 2 * SLICE:
-        u.sort()
-        weyl, distance = weyl_of(), uniform_distance(u)
-    else:
-        # Two halves at once (`_in_parallel`): a partition at the middle,
-        # then each side sorted, gives the same array as one sort; then the
-        # Weyl sums inline and the KS distance on the helper.
-        middle = kept // 2
-        u.partition(middle)
-        _in_parallel(u[:middle].sort, u[middle:].sort)
-        weyl, distance = _in_parallel(weyl_of, lambda: uniform_distance(u))
+    middle = kept // 2
+    u.partition(middle)
+    _in_parallel(u[:middle].sort, u[middle:].sort, kept)
+    weyl, distance = _in_parallel(lambda: WeylReport.from_sorted(u, config.weyl_k), lambda: uniform_distance(u), kept)
     floor = weyl.noise_floor(thresholds.weyl_multiplier)
     max_mag = weyl.max_magnitude
     if u.size < MIN_SAMPLES:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -420,6 +421,36 @@ class TestDefectiveFallback:
         sample = sample_log_signal(ObservableOnFlow(a, Observable.entry(0, 1, 2)), grid, 10)
         assert sample.truncated_at is not None
         assert sample.values.size < grid.count
+
+
+class TestCallersErrorState:
+    # a verdict on valid input neither warns nor raises, whatever numpy error
+    # state its caller has set: underflow of a decaying mode and the overflow
+    # that stepping cuts at are part of sampling
+    SHORT = SamplingGrid(T=1000.0, step=0.01)  # 1e5 samples: the helper thread runs too
+    CASES = {
+        "growing observable": (ObservableOnFlow(np.array([[0.3, -1.7], [1.7, 0.3]]), Observable(np.eye(2))), SHORT),
+        "decaying sub-mode": (ObservableOnFlow(np.diag([1.0, -5.0]), Observable(np.eye(2))), SHORT),
+        "3x3 spectral norm": (NormOnFlow(np.array([[0.5, -1.0, 0.2], [1.0, 0.5, 0.0], [0.3, 0.1, -2.0]])), SHORT),
+        "jordan stepping": (ObservableOnFlow(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -3.0]]), Observable(np.ones((3, 3)))), SHORT),
+        "overflowing stepping": (
+            ObservableOnFlow(np.array([[0.0, 1e306], [0.0, 0.0]]), Observable.entry(0, 1, 2)),
+            SamplingGrid(T=1000.0, step=1.0),
+        ),
+        "synthetic": (Synthetic(r=0.5, k=1, modes=((1.0, 1.0), (2.3, 0.5))), SHORT),
+    }
+
+    @pytest.mark.parametrize("label", list(CASES))
+    def test_all_raise_gives_the_default_report_without_a_warning(self, label):
+        spec, grid = self.CASES[label]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            default = benford_verdict(spec, 10, grid).to_dict()
+            with np.errstate(all="raise"):
+                raised = benford_verdict(spec, 10, grid).to_dict()
+        assert raised == default
+        if label == "overflowing stepping":
+            assert (default["sample_count"], default["truncated_at"]) == (179, 180.0)
 
 
 class TestExternalSamples:

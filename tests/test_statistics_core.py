@@ -624,10 +624,10 @@ def test_an_error_in_the_helpers_half_reaches_the_caller():
         return run
 
     with pytest.raises(ValueError, match="helper"):
-        flowsignal._in_parallel(lambda: 1, fails("helper"))
+        flowsignal._in_parallel(lambda: 1, fails("helper"), 2 * SLICE)
     with pytest.raises(ValueError, match="inline"):  # both halves fail: the inline error wins
-        flowsignal._in_parallel(fails("inline"), fails("helper"))
-    assert flowsignal._in_parallel(lambda: 1, lambda: 2) == (1, 2)
+        flowsignal._in_parallel(fails("inline"), fails("helper"), 2 * SLICE)
+    assert flowsignal._in_parallel(lambda: 1, lambda: 2, 2 * SLICE) == (1, 2)
 
 
 def test_a_verdict_leaves_no_thread_behind():
@@ -647,11 +647,11 @@ def test_the_helper_runs_under_the_callers_errstate():
         pass
 
     with np.errstate(under="raise", divide="ignore", over="call", call=callback):
-        inline, helper = flowsignal._in_parallel(state, state)
+        inline, helper = flowsignal._in_parallel(state, state, 2 * SLICE)
         assert helper == inline == state()
     assert helper[0]["under"] == "raise"
     assert helper[1] is callback
-    assert flowsignal._in_parallel(state, state)[1] == state()
+    assert flowsignal._in_parallel(state, state, 2 * SLICE)[1] == state()
 
 
 def test_one_cpu_runs_both_halves_inline_with_the_same_bits(monkeypatch):
@@ -664,11 +664,11 @@ def test_one_cpu_runs_both_halves_inline_with_the_same_bits(monkeypatch):
         threads.append(threading.get_ident())
 
     if flowsignal._cpus() > 1:
-        flowsignal._in_parallel(where, where)
+        flowsignal._in_parallel(where, where, 2 * SLICE)
         assert threads[0] != threads[1]  # the helper ran, so the split was taken both ways
     monkeypatch.setattr(flowsignal, "_cpus", lambda: 1)
     threads.clear()
-    flowsignal._in_parallel(where, where)
+    flowsignal._in_parallel(where, where, 2 * SLICE)
     assert threads == [threading.get_ident()] * 2
     alone, u_alone = _signal_verdict(spec, 10, CONFIG.grid, config=CONFIG)
     assert alone == report
@@ -691,7 +691,7 @@ def test_a_thread_that_cannot_start_runs_both_halves_inline(monkeypatch):
 
     monkeypatch.setattr(flowsignal, "_cpus", lambda: 2)
     monkeypatch.setattr(threading.Thread, "start", refuse)
-    flowsignal._in_parallel(where, where)
+    flowsignal._in_parallel(where, where, 2 * SLICE)
     assert threads == [threading.get_ident()] * 2
     alone, u_alone = _signal_verdict(spec, 10, CONFIG.grid, config=CONFIG)
     assert alone == report
@@ -731,7 +731,7 @@ def serial_sample(spec, grid: SamplingGrid, b: int, monkeypatch):
     """The sampler with every pass in one loop, in grid order."""
     with monkeypatch.context() as m:
         fill = flowsignal._fill_passes
-        m.setattr(flowsignal, "_fill_passes", lambda out, grid, run, split: fill(out, grid, run, False))
+        m.setattr(flowsignal, "_fill_passes", lambda out, grid, run, stop, split: fill(out, grid, run, stop, False))
         return sample_log_signal(spec, grid, b)
 
 
@@ -800,22 +800,87 @@ def test_a_cut_in_either_half_is_the_serial_cut(at, b, monkeypatch):
 
 
 @pytest.mark.parametrize("split", [False, True])
-def test_an_error_past_the_cut_is_never_raised(split):
-    # passes from 2 SLICE on raise; a cut in the second pass (the first
-    # half's last) keeps the serial loop from reaching them
+def test_no_pass_reaches_the_cut_and_a_helper_error_reaches_the_caller(split):
+    # the cut is fixed before sampling: no pass at or past it is filled, in
+    # either half; with no cut, an error in the helper's half is raised
     grid = SamplingGrid(T=(4 * SLICE + 0.5) * 0.01, step=0.01)
     out = grid.empty()
+    filled = []
 
-    def passes_up_to(cut: int | None):
-        def fill(lo: int, t: np.ndarray) -> int:
-            if lo >= 2 * SLICE:
-                raise FloatingPointError("a pass past the cut")
-            out[lo : lo + t.size] = 0.0
-            return 5 if lo == cut else t.size
-        return fill
+    def fill(lo: int, t: np.ndarray) -> int:
+        filled.append((lo, lo + t.size))
+        out[lo : lo + t.size] = 0.0
+        return t.size
 
-    sample = flowsignal._fill_passes(out, grid, passes_up_to(SLICE), split)
-    assert sample.values.size == SLICE + 5
-    assert sample.truncated_at == grid.times()[SLICE + 5]
-    with pytest.raises(FloatingPointError, match="past the cut"):
-        flowsignal._fill_passes(out, grid, passes_up_to(None), split)
+    stop = 3 * SLICE + 5  # in the helper's half, which starts at 2 SLICE
+    sample = flowsignal._fill_passes(out, grid, fill, stop, split)
+    assert sorted(filled) == [(0, SLICE), (SLICE, 2 * SLICE), (2 * SLICE, 3 * SLICE), (3 * SLICE, stop)]
+    assert sample.values.size == stop
+    assert sample.truncated_at == grid.times()[stop]
+
+    def fails_in_the_last_pass(lo: int, t: np.ndarray) -> int:
+        if lo >= 3 * SLICE:
+            raise FloatingPointError("the helper's half")
+        return t.size
+
+    with pytest.raises(FloatingPointError, match="helper's half"):
+        flowsignal._fill_passes(out, grid, fails_in_the_last_pass, grid.count, split)
+
+
+@pytest.mark.parametrize("samples", [0, 1, 2 * SLICE - 1])
+def test_in_parallel_below_two_slices_starts_no_thread(samples, monkeypatch):
+    def refuse(self):
+        raise AssertionError("a helper thread was started")
+
+    monkeypatch.setattr(flowsignal, "_cpus", lambda: 2)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    threads = []
+
+    def where():
+        threads.append(threading.get_ident())
+        return len(threads)
+
+    assert flowsignal._in_parallel(where, where, samples) == (1, 2)
+    assert threads == [threading.get_ident()] * 2
+
+
+def fraction_cut_cases() -> dict:
+    """(grid, b, r, index) with the 2^52 cut at a chosen grid index (None
+    for the random cases): r puts |r| t / ln b at _NO_FRACTION just past
+    the time t_{i+1} of index i."""
+    def at(index: int, grid: SamplingGrid, b: int) -> float:
+        return flowsignal._NO_FRACTION * math.log(b) / ((index + 1.0) * grid.step) * (1 + 1e-15)
+
+    small = SamplingGrid(T=(3 * SLICE + 0.5) * 0.01, step=0.01)
+    split = SamplingGrid(T=(4 * SLICE + 0.5) * 0.1, step=0.1)
+    cases = {
+        "index 1": (small, 10, at(1, small, 10), 1),
+        "SLICE": (small, 2, -at(SLICE, small, 2), SLICE),
+        "SLICE + 1": (small, 16, at(SLICE + 1, small, 16), SLICE + 1),
+        "middle pass of a split grid": (split, 10, at(2 * SLICE + 17, split, 10), 2 * SLICE + 17),
+        "last sample": (small, 10, at(small.count - 1, small, 10), small.count - 1),
+        "past the grid": (small, 10, at(small.count, small, 10), small.count),
+    }
+    rng = np.random.default_rng(30)
+    for i in range(20):
+        grid = SamplingGrid(T=float(rng.uniform(1.0, 1e4)), step=float(rng.choice([0.01, 0.1, 0.25, 1 / 3])))
+        b = int(rng.choice([2, 3, 10, 16]))
+        cases[f"random {i}"] = (grid, b, at(int(rng.integers(1, grid.count + 5)), grid, b) * rng.choice([-1.0, 1.0]), None)
+    return cases
+
+
+@pytest.mark.parametrize("label", list(fraction_cut_cases()))
+def test_fraction_count_is_the_first_time_past_the_bound(label):
+    grid, b, r, index = fraction_cut_cases()[label]
+    past = abs(r) * grid.times() >= flowsignal._NO_FRACTION * math.log(b)
+    expected = int(np.argmax(past)) if past.any() else grid.count
+    assert expected == (expected if index is None else index) > 0
+    assert flowsignal._fraction_count(grid, r, b) == expected
+
+
+def test_fraction_count_at_the_first_sample_is_a_usage_error():
+    grid = SamplingGrid(T=2.0, step=0.01)
+    r = flowsignal._NO_FRACTION * math.log(10) / 0.01
+    with pytest.raises(UsageError, match=r"from t = 0\.01 on at 2\^52 or more"):
+        flowsignal._fraction_count(grid, r, 10)
+    assert flowsignal._fraction_count(grid, r * (1 - 1e-9), 10) == 1
